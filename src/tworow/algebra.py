@@ -7,16 +7,22 @@ b(0), ..., b(lambda2) over Z/p, with b(0) the identity and
 
 where m = lambda1 - lambda2 and b(a) = 0 for a > lambda2.  Only m enters the
 structure constants; lambda2 sets the truncation.
+
+By Lucas's theorem C(h,i) vanishes mod p unless every base-p digit of i is at
+most the matching digit of h, so almost every structure constant is zero.
+Each context lists its non-zero ones once, and every product is a gather and
+a reduction over that list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+from math import comb
 
 import numpy as np
 
-from .errors import ContextMismatchError
+from .errors import ContextMismatchError, InvalidPrimeError
 from .padic import _require_prime, lucas_binom
 
 __all__ = [
@@ -27,18 +33,8 @@ __all__ = [
     "mul",
 ]
 
-# Contexts whose dense structure tensor would exceed this many cells fall back
-# to the row-based multiply (memory gate, not a correctness switch).
-_TENSOR_CELL_LIMIT = 2**21
-
-
-def _pascal_mod(n: int, p: int) -> np.ndarray:
-    """(n+1) x (n+1) table of C(a, b) mod p, zeros above the diagonal."""
-    table = np.zeros((n + 1, n + 1), dtype=np.int64)
-    table[:, 0] = 1
-    for a in range(1, n + 1):
-        table[a, 1 : a + 1] = (table[a - 1, 1 : a + 1] + table[a - 1, 0:a]) % p
-    return table
+# Residues are multiplied in int64, so two of them must fit: p < 2**31.
+_MAX_PRIME = 2**31
 
 
 @dataclass(frozen=True)
@@ -53,6 +49,10 @@ class AlgebraContext:
         if not (self.lambda1 >= self.lambda2 >= 0):
             raise ValueError(
                 f"({self.lambda1},{self.lambda2}) is not a two-row partition"
+            )
+        if self.p >= _MAX_PRIME:
+            raise InvalidPrimeError(
+                f"modulus {self.p} is not below 2**31, the bound for int64 residue products"
             )
         _require_prime(self.p)
 
@@ -84,47 +84,60 @@ class AlgebraContext:
         return AlgebraElement(self, tuple(coeffs))
 
     def from_coeffs(self, coeffs) -> "AlgebraElement":
-        """Element with the given coefficients (length lambda2+1), reduced mod p."""
-        coeffs = tuple(int(c) % self.p for c in coeffs)
-        if len(coeffs) != self.dim:
-            raise ValueError(
-                f"expected {self.dim} coefficients, got {len(coeffs)}"
-            )
-        return AlgebraElement(self, coeffs)
+        """Element with the given integer coefficients (length lambda2+1),
+        reduced mod p."""
+        reduced = []
+        for c in coeffs:
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+                raise ValueError(f"coefficient {c!r} is not an integer")
+            reduced.append(int(c) % self.p)
+        return AlgebraElement(self, tuple(reduced))
 
     @cached_property
-    def _tensor(self) -> np.ndarray | None:
-        """Structure tensor T[i, j, h] mod p, or None when too large to hold."""
-        d = self.dim
-        if d**3 > _TENSOR_CELL_LIMIT:
-            return None
-        p = self.p
-        pascal = _pascal_mod(self.lambda2, p)
-        # C(m+s, k) for s = i+j and k = i+j-h; m can be huge, so go via Lucas.
-        mixed = np.array(
-            [
-                [lucas_binom(self.m + s, k, p) for k in range(d)]
-                for s in range(2 * self.lambda2 + 1)
-            ],
-            dtype=np.int64,
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The non-zero structure constants, as int64 arrays (i, j, c, starts).
+
+        Entry n says that b(i[n])b(j[n]) has coefficient c[n] at b(h), where
+        entries are grouped by h = 0..lambda2 and the group of h begins at
+        starts[h].  No group is empty: b(0)b(h) = b(h).
+        """
+        p, m = self.p, self.m
+        # below[h]: the (i, C(h,i) mod p) with C(h,i) != 0, i.e. the i whose
+        # base-p digits are at most those of h.  Built from h // p by Lucas.
+        below = [[(0, 1)]]
+        rows_i, rows_j, rows_c, starts = [], [], [], []
+        for h in range(self.dim):
+            if h:
+                low = h % p
+                below.append([
+                    (p * i + d, c * comb(low, d) % p)
+                    for i, c in below[h // p]
+                    for d in range(low + 1)
+                ])
+            starts.append(len(rows_c))
+            mixed = {}  # C(m+i+j, i+j-h) mod p, by i+j
+            below_h = below[h]
+            for a, (i, ci) in enumerate(below_h):
+                for j, cj in below_h[a:]:
+                    s = i + j
+                    if s < h:
+                        continue
+                    if s not in mixed:
+                        mixed[s] = lucas_binom(m + s, s - h, p)
+                    c = ci * cj * mixed[s] % p
+                    if not c:
+                        continue
+                    rows_i.append(i)
+                    rows_j.append(j)
+                    rows_c.append(c)
+                    if i != j:
+                        rows_i.append(j)
+                        rows_j.append(i)
+                        rows_c.append(c)
+        return tuple(
+            np.array(rows, dtype=np.int64)
+            for rows in (rows_i, rows_j, rows_c, starts)
         )
-        I, J, H = np.indices((d, d, d))
-        S = I + J
-        K = S - H
-        valid = (H >= np.maximum(I, J)) & (K >= 0)
-        K = np.where(valid, K, 0)
-        T = pascal[H, I] * pascal[H, J] % p * mixed[S, K] % p
-        T[~valid] = 0
-        return T
-
-
-@lru_cache(maxsize=262144)
-def _basis_row(p: int, m: int, i: int, j: int) -> tuple[int, ...]:
-    """Coefficients of b(i)b(j) for h = max(i,j), ..., i+j, untruncated."""
-    return tuple(
-        lucas_binom(h, i, p) * lucas_binom(h, j, p) * lucas_binom(m + i + j, i + j - h, p) % p
-        for h in range(max(i, j), i + j + 1)
-    )
 
 
 def structure_constant(ctx: AlgebraContext, i: int, j: int, h: int) -> int:
@@ -148,6 +161,17 @@ class AlgebraElement:
 
     context: AlgebraContext
     coeffs: tuple[int, ...]
+
+    def __post_init__(self):
+        ctx = self.context
+        if len(self.coeffs) != ctx.dim:
+            raise ValueError(
+                f"expected {ctx.dim} coefficients, got {len(self.coeffs)}"
+            )
+        p = ctx.p
+        for c in self.coeffs:
+            if type(c) is not int or not 0 <= c < p:
+                raise ValueError(f"coefficient {c!r} is not a residue in [0, {p - 1}]")
 
     def _same_context(self, other: "AlgebraElement") -> AlgebraContext:
         if self.context != other.context:
@@ -219,7 +243,10 @@ class AlgebraElement:
 
     @staticmethod
     def from_json(data: dict) -> "AlgebraElement":
-        l1, l2 = data["lambda"]
+        lam = data["lambda"]
+        if len(lam) != 2:
+            raise ValueError(f"lambda={lam!r} is not a two-row partition")
+        l1, l2 = lam
         ctx = AlgebraContext(l1, l2, data["p"])
         return ctx.from_coeffs(data["coeffs"])
 
@@ -250,26 +277,12 @@ def basis_elem(ctx: AlgebraContext, i: int) -> AlgebraElement:
 def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Product in the algebra, truncating basis indices above lambda2."""
     ctx = x._same_context(y)
-    p, lam2 = ctx.p, ctx.lambda2
-    tensor = ctx._tensor
-    if tensor is not None:
-        # Contract over the sparser operand's support.
-        if len(y.support()) < len(x.support()):
-            x, y = y, x
-        yv = np.asarray(y.coeffs, dtype=np.int64)
-        acc = np.zeros(ctx.dim, dtype=np.int64)
-        for i in x.support():
-            acc += x.coeffs[i] * (yv @ tensor[i])
-        return AlgebraElement(ctx, tuple(int(c) for c in acc % p))
-
-    acc = [0] * ctx.dim
-    m = ctx.m
-    for i in x.support():
-        ci = x.coeffs[i]
-        for j in y.support():
-            c = ci * y.coeffs[j] % p
-            lo = max(i, j)
-            row = _basis_row(p, m, i, j)
-            for off in range(min(len(row), lam2 - lo + 1)):
-                acc[lo + off] = (acc[lo + off] + c * row[off]) % p
-    return AlgebraElement(ctx, tuple(acc))
+    p = ctx.p
+    i, j, c, starts = ctx._table
+    xv = np.array(x.coeffs, dtype=np.int64)
+    yv = np.array(y.coeffs, dtype=np.int64)
+    # Each term is a residue below p < 2**31, reduced after every product, so
+    # the int64 sums stay exact while the table has fewer than 2**32 entries.
+    terms = c * xv[i] % p * yv[j] % p
+    acc = np.add.reduceat(terms, starts) % p
+    return AlgebraElement(ctx, tuple(acc.tolist()))

@@ -25,9 +25,10 @@ from .decompose import (
     two_row_partitions,
     verify_complete_set,
 )
+from .errors import InvalidPrimeError
 from .idempotents import build, factor_sequence_text
 from .oracle import cross_validate
-from .padic import big_b
+from .padic import _require_prime, big_b
 
 __all__ = ["main"]
 
@@ -46,6 +47,26 @@ def _partition(text: str) -> tuple[int, int]:
     return l1, l2
 
 
+def _at_least(low: int):
+    """Argument type: an integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+    return parse
+
+
+def _prime(text: str) -> int:
+    try:
+        return _require_prime(_at_least(2)(text))
+    except InvalidPrimeError as err:
+        raise argparse.ArgumentTypeError(str(err))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tworow",
@@ -62,22 +83,25 @@ def _build_parser() -> argparse.ArgumentParser:
     idm = sub.add_parser("idempotent", help="print one idempotent e_{m,g}")
     idm.add_argument("--lambda", dest="lam", type=_partition, required=True,
                      metavar="L1,L2")
-    idm.add_argument("--g", type=int, required=True)
+    idm.add_argument("--g", type=_at_least(0), required=True)
     idm.add_argument("--p", type=int, default=3)
     idm.add_argument("--json", action="store_true")
 
     ver = sub.add_parser("verify", help="complete-set verification sweep")
-    ver.add_argument("--max-r", type=int, default=60)
+    ver.add_argument("--max-r", type=_at_least(0), default=60)
     ver.add_argument("--p", type=int, default=3)
-    ver.add_argument("--jobs", type=int,
-                     default=int(os.environ.get("SCHUR_JOBS", "1")))
+    # A string default goes through `type` too, so a bad SCHUR_JOBS is a
+    # usage error of this subcommand alone.
+    ver.add_argument("--jobs", type=_at_least(1),
+                     default=os.environ.get("SCHUR_JOBS", "1"),
+                     help="worker processes (default: $SCHUR_JOBS, else 1)")
 
     kos = sub.add_parser("kostka-table", help="CSV of two-row p-Kostka numbers")
-    kos.add_argument("--max-r", type=int, required=True)
-    kos.add_argument("--p", type=int, default=3)
+    kos.add_argument("--max-r", type=_at_least(0), required=True)
+    kos.add_argument("--p", type=_prime, default=3)
 
     orc = sub.add_parser("oracle-check", help="tensor-space cross-validation")
-    orc.add_argument("--max-r", type=int, default=8)
+    orc.add_argument("--max-r", type=_at_least(0), default=8)
     orc.add_argument("--p", type=int, default=3)
 
     return parser
@@ -181,10 +205,7 @@ def _cmd_oracle(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "kostka-table":
-        if args.p < 2:
-            parser.error(f"--p {args.p} is not a prime")
-    else:
+    if args.command != "kostka-table":
         _require_p3(parser, args.p)
     handlers = {
         "decompose": _cmd_decompose,

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraContext, AlgebraElement
-from .errors import UnsupportedCharacteristicError
-from .idempotents import build
+from .idempotents import _require_char3, build
 from .padic import big_b
 
 __all__ = [
@@ -42,13 +41,6 @@ class SummandRecord:
             "B": self.b_value,
             "idempotent": list(self.idempotent.coeffs),
         }
-
-
-def _require_char3(ctx: AlgebraContext) -> None:
-    if ctx.p != 3:
-        raise UnsupportedCharacteristicError(
-            f"the decomposition machinery requires p=3, got p={ctx.p}"
-        )
 
 
 def summands(ctx: AlgebraContext) -> list[SummandRecord]:

@@ -9,7 +9,9 @@ C(m+2g, g) = 0 mod 3) map to zero.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
 
 from .algebra import AlgebraContext, AlgebraElement
@@ -75,26 +77,50 @@ def _require_char3(ctx: AlgebraContext) -> None:
         )
 
 
+# Coefficients of (1, b(3^u), b(2*3^u)) in the factor for each admissible
+# digit pair (a, b); every other pair gives the zero factor.
+_FACTOR_COEFFS = {
+    (0, 0): (1, 1, 2),  # 1 + b(3^u) - b(2*3^u)
+    (2, 1): (0, 2, 1),  # b(2*3^u) - b(3^u)
+    (1, 0): (1, 0, 2),  # 1 - b(2*3^u)
+    (2, 2): (0, 0, 1),  # b(2*3^u)
+    (2, 0): (1, 2, 1),  # 1 - b(3^u) + b(2*3^u)
+    (1, 1): (0, 1, 2),  # b(3^u) - b(2*3^u)
+}
+
+
 def factor_element(ctx: AlgebraContext, u: int, kind: Factor) -> AlgebraElement:
     """The algebra element assigned to factor u, truncated to the context."""
     _require_char3(ctx)
-    one = ctx.one()
-    b3 = ctx.basis(3**u)
-    b6 = ctx.basis(2 * 3**u)
-    table = {
-        (0, 0): lambda: one + b3 - b6,
-        (2, 1): lambda: b6 - b3,
-        (1, 0): lambda: one - b6,
-        (2, 2): lambda: b6,
-        (2, 0): lambda: one - b3 + b6,
-        (1, 1): lambda: b3 - b6,
-    }
-    entry = table.get((kind.a, kind.b))
-    return entry() if entry else ctx.zero()
+    coeffs = [0] * ctx.dim
+    entry = _FACTOR_COEFFS.get((kind.a, kind.b))
+    if entry:
+        for index, c in zip((0, 3**u, 2 * 3**u), entry):
+            if index <= ctx.lambda2:
+                coeffs[index] = c
+    return AlgebraElement(ctx, tuple(coeffs))
 
 
 def _factor_at(pairs: list[tuple[int, int]], u: int) -> Factor:
     return Factor(*pairs[u]) if u < len(pairs) else Factor(0, 0)
+
+
+def _factors(ctx: AlgebraContext, g: int, count: int | None = None):
+    """The factor elements of the idempotent for (ctx.m, g), for u = 0, 1, ...
+
+    By default the factors run over every digit of m+2g and every u with
+    3^u <= lambda2: factors beyond the digit length are (0,0)-type, and
+    reduce to 1 only once 3^u > lambda2.  With `count`, exactly the factors
+    u < count.
+    """
+    _require_char3(ctx)
+    pairs = factor_digits(ctx.m, g, 3)
+    if count is None:
+        count = len(pairs)
+        while 3**count <= ctx.lambda2:
+            count += 1
+    for u in range(count):
+        yield factor_element(ctx, u, _factor_at(pairs, u))
 
 
 def build(ctx: AlgebraContext, g: int) -> AlgebraElement:
@@ -104,18 +130,9 @@ def build(ctx: AlgebraContext, g: int) -> AlgebraElement:
     matching the convention that such elements vanish.
     """
     _require_char3(ctx)
-    m = ctx.m
-    if big_b(m, g, 3) == 0:
+    if big_b(ctx.m, g, 3) == 0:
         return ctx.zero()
-    pairs = factor_digits(m, g, 3)
-    out = ctx.one()
-    u = 0
-    # Factors beyond the digit length are (0,0)-type and contribute
-    # 1 + b(3^u) - b(2*3^u); they only reduce to 1 once 3^u > lambda2.
-    while u < len(pairs) or 3**u <= ctx.lambda2:
-        out = out * factor_element(ctx, u, _factor_at(pairs, u))
-        u += 1
-    return out
+    return reduce(operator.mul, _factors(ctx, g), ctx.one())
 
 
 def build_prefix(
@@ -125,27 +142,13 @@ def build_prefix(
 
     The exclusive prefix at t = 0 is the empty product, i.e. the identity.
     """
-    _require_char3(ctx)
-    pairs = factor_digits(ctx.m, g, 3)
-    stop = t + 1 if inclusive else t
-    out = ctx.one()
-    for u in range(stop):
-        out = out * factor_element(ctx, u, _factor_at(pairs, u))
-    return out
+    return reduce(operator.mul, _factors(ctx, g, t + 1 if inclusive else t), ctx.one())
 
 
 def factor_sequence_text(ctx: AlgebraContext, g: int) -> str:
     """The non-trivial factors after truncation, e.g. '(b(1) - b(2))(-b(9))'."""
-    _require_char3(ctx)
-    pairs = factor_digits(ctx.m, g, 3)
     one = ctx.one()
-    parts = []
-    u = 0
-    while u < len(pairs) or 3**u <= ctx.lambda2:
-        elem = factor_element(ctx, u, _factor_at(pairs, u))
-        if elem != one:
-            parts.append(f"({elem})")
-        u += 1
+    parts = [f"({elem})" for elem in _factors(ctx, g) if elem != one]
     return "".join(parts) if parts else "1"
 
 

@@ -23,7 +23,7 @@ from math import comb
 import numpy as np
 
 from .algebra import AlgebraContext, AlgebraElement, mul
-from .decompose import summands, two_row_partitions
+from .decompose import partitions_up_to, summands
 from .errors import ContextMismatchError
 from .idempotents import build
 
@@ -296,15 +296,10 @@ def j_matrix(r: int, lam: tuple[int, int]) -> OperatorMatrix:
     return OperatorMatrix((r, lam), (r + 2, big), mat)
 
 
-def _lambda_range(r_max: int):
-    for r in range(r_max + 1):
-        yield from two_row_partitions(r)
-
-
 def check_basis_products(r_max: int) -> list[str]:
     """Matrix products of realized basis elements vs the abstract multiply."""
     failures = []
-    for lam in _lambda_range(r_max):
+    for lam in partitions_up_to(r_max):
         r = sum(lam)
         ctx = AlgebraContext(lam[0], lam[1], 3)
         mats = [realize_b(r, lam, i).mat.astype(np.int64) for i in range(lam[1] + 1)]
@@ -320,7 +315,7 @@ def check_basis_products(r_max: int) -> list[str]:
 def check_idempotent_matrices(r_max: int) -> list[str]:
     """Realized idempotents square to themselves as matrices."""
     failures = []
-    for lam in _lambda_range(r_max):
+    for lam in partitions_up_to(r_max):
         ctx = AlgebraContext(lam[0], lam[1], 3)
         for rec in summands(ctx):
             mat = element_matrix(rec.idempotent)
@@ -332,7 +327,7 @@ def check_idempotent_matrices(r_max: int) -> list[str]:
 def check_j_commutation(r_max: int) -> list[str]:
     """The column-adding injection commutes with every idempotent."""
     failures = []
-    for lam in _lambda_range(r_max):
+    for lam in partitions_up_to(r_max):
         r = sum(lam)
         big = (lam[0] + 1, lam[1] + 1)
         jm = j_matrix(r, lam).mat.astype(np.int64)
@@ -349,7 +344,7 @@ def check_j_commutation(r_max: int) -> list[str]:
 def check_specht_labels(r_max: int) -> list[str]:
     """Idempotents hit the Specht generator exactly for the matching label."""
     failures = []
-    for lam in _lambda_range(r_max):
+    for lam in partitions_up_to(r_max):
         r = sum(lam)
         ctx = AlgebraContext(lam[0], lam[1], 3)
         recs = summands(ctx)

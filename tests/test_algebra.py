@@ -1,14 +1,14 @@
 """The canonical basis, structure constants, and ring axioms."""
 
 import json
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import tworow.algebra as algebra_mod
 from tworow.algebra import AlgebraContext, AlgebraElement, basis_elem, mul, structure_constant
-from tworow.errors import ContextMismatchError
+from tworow.errors import ContextMismatchError, InvalidPrimeError
 from tworow.padic import digits
 
 
@@ -21,6 +21,38 @@ def elements(ctx, max_size=6):
     return st.lists(
         st.integers(0, ctx.p - 1), min_size=ctx.dim, max_size=ctx.dim
     ).map(lambda cs: ctx.from_coeffs(cs))
+
+
+def reference_product(x, y):
+    """x*y as a direct sum over the written structure constants."""
+    ctx = x.context
+    acc = [0] * ctx.dim
+    for i in x.support():
+        for j in y.support():
+            for h in range(max(i, j), min(i + j, ctx.lambda2) + 1):
+                acc[h] += x.coeffs[i] * y.coeffs[j] * structure_constant(ctx, i, j, h)
+    return ctx.from_coeffs(acc)
+
+
+@st.composite
+def large_m_pairs(draw):
+    """Sparse elements of a context with m >= 3^10, so the binomials
+    C(m+i+j, k) have multi-digit Lucas expansions.  At p = 2, 5, 7 far more
+    structure constants survive than at 3, so lambda2 stays small there."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    lam2 = draw(st.integers(0, 300 if p == 3 else 40))
+    m = draw(st.integers(3**10, 10**12))
+    ctx = AlgebraContext(m + lam2, lam2, p)
+
+    terms = st.dictionaries(st.integers(0, lam2), st.integers(1, p - 1), max_size=5)
+    return from_terms(ctx, draw(terms)), from_terms(ctx, draw(terms))
+
+
+def from_terms(ctx, terms):
+    return ctx.from_coeffs([terms.get(k, 0) for k in range(ctx.dim)])
+
+
+_CTX_300 = AlgebraContext(3**10 + 7 + 300, 300, 3)
 
 
 small_contexts = st.tuples(
@@ -141,20 +173,62 @@ class TestMul:
         z = x * y
         assert z.support_max() is None or z.support_max() < 3**u
 
-    def test_fallback_path_matches_tensor_path(self, monkeypatch):
-        ref_ctx = ctx_of(12, 9)
-        pairs = [
-            (ref_ctx.from_coeffs([1, 2, 0, 1, 1, 0, 2, 0, 1, 2]),
-             ref_ctx.from_coeffs([2, 0, 1, 1, 0, 2, 0, 1, 1, 0])),
-            (ref_ctx.basis(4), ref_ctx.basis(7)),
-        ]
-        expected = [mul(x, y) for x, y in pairs]
-        monkeypatch.setattr(algebra_mod, "_TENSOR_CELL_LIMIT", 0)
-        plain_ctx = ctx_of(12, 9)
-        assert plain_ctx._tensor is None
-        for (x, y), want in zip(pairs, expected):
-            got = mul(plain_ctx.from_coeffs(x.coeffs), plain_ctx.from_coeffs(y.coeffs))
-            assert got.coeffs == want.coeffs
+    @settings(max_examples=25, deadline=None)
+    @given(large_m_pairs())
+    @example((
+        from_terms(_CTX_300, {0: 1, 1: 2, 3: 1, 243: 2, 300: 1}),
+        from_terms(_CTX_300, {2: 1, 81: 1, 82: 2, 299: 2}),
+    ))
+    def test_matches_structure_constants(self, pair):
+        x, y = pair
+        assert mul(x, y) == reference_product(x, y)
+
+    def test_exact_at_largest_prime(self):
+        # Products of two residues near 2**31 fill int64; their sums must not.
+        ctx = AlgebraContext(10**12 + 20, 20, 2**31 - 1)
+        rng = random.Random(1)
+        x, y = (
+            ctx.from_coeffs([rng.randrange(ctx.p) for _ in range(ctx.dim)])
+            for _ in range(2)
+        )
+        assert mul(x, y) == reference_product(x, y)
+
+    def test_rejects_prime_beyond_int64_products(self):
+        with pytest.raises(InvalidPrimeError):
+            AlgebraContext(4, 2, 2**31 + 11)
+        # Rejected by size, before any trial division.
+        with pytest.raises(InvalidPrimeError):
+            AlgebraContext(4, 2, 2**61 - 1)
+
+
+class TestElementInvariants:
+    def test_rejects_unreduced_coefficients(self):
+        with pytest.raises(ValueError):
+            AlgebraElement(ctx_of(6, 2), (5, 7, 9))
+        with pytest.raises(ValueError):
+            AlgebraElement(ctx_of(6, 2), (0, -1, 0))
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            AlgebraElement(ctx_of(6, 2), (1, 0))
+
+    def test_rejects_non_integer_coefficients(self):
+        for bad in ((True, 0, 0), (1.0, 0, 0), ("1", 0, 0)):
+            with pytest.raises(ValueError):
+                AlgebraElement(ctx_of(6, 2), bad)
+
+    def test_from_coeffs_rejects_non_integers(self):
+        ctx = ctx_of(6, 2)
+        with pytest.raises(ValueError):
+            ctx.from_coeffs([1.7, True, "2"])
+        for bad in ([1.7, 0, 0], [True, 0, 0], ["2", 0, 0]):
+            with pytest.raises(ValueError):
+                ctx.from_coeffs(bad)
+        assert ctx.from_coeffs([5, -1, 9]).coeffs == (2, 2, 0)
+
+    def test_from_json_rejects_three_row_lambda(self):
+        with pytest.raises(ValueError, match="two-row"):
+            AlgebraElement.from_json({"lambda": [3, 2, 1], "p": 3, "coeffs": [1, 0, 0]})
 
 
 class TestVectorOps:

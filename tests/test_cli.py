@@ -136,3 +136,36 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+    def usage_error(self, capsys, *argv):
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        assert err.value.code == 2
+        out, text = capsys.readouterr()
+        assert out == ""
+        return text
+
+    def test_negative_g_exits_2(self, capsys):
+        text = self.usage_error(capsys, "idempotent", "--lambda", "5,3", "--g", "-1")
+        assert "--g" in text and "summand" not in text
+
+    def test_negative_max_r_verify_exits_2(self, capsys):
+        text = self.usage_error(capsys, "verify", "--max-r", "-1")
+        assert "--max-r" in text and "PASS" not in text
+
+    def test_negative_max_r_oracle_exits_2(self, capsys):
+        text = self.usage_error(capsys, "oracle-check", "--max-r", "-3")
+        assert "--max-r" in text and "PASS" not in text
+
+    def test_zero_jobs_exits_2(self, capsys):
+        assert "--jobs" in self.usage_error(capsys, "verify", "--max-r", "4", "--jobs", "0")
+
+    def test_garbled_schur_jobs_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("SCHUR_JOBS", "abc")
+        assert "'abc'" in self.usage_error(capsys, "verify", "--max-r", "4")
+        # Only the subcommand that reads SCHUR_JOBS rejects it.
+        code, out = run(capsys, "decompose", "--lambda", "2,2")
+        assert code == 0 and "2 Young modules" in out
+
+    def test_composite_kostka_prime_exits_2(self, capsys):
+        assert "not a prime" in self.usage_error(capsys, "kostka-table", "--max-r", "2", "--p", "4")
