@@ -7,7 +7,7 @@ idempotents, the Young-module labelling of each summand, and a tensor-space
 brute-force oracle that cross-checks all of it at desk scale.
 """
 
-from .algebra import AlgebraContext, AlgebraElement, basis_elem, mul, structure_constant
+from .algebra import AlgebraContext, AlgebraElement, mul, structure_constant
 from .decompose import (
     SummandRecord,
     VerificationReport,
@@ -20,7 +20,6 @@ from .decompose import (
 from .errors import ContextMismatchError, InvalidPrimeError, UnsupportedCharacteristicError
 from .idempotents import (
     Factor,
-    IdempotentSpec,
     build,
     build_prefix,
     factor_element,
@@ -49,12 +48,10 @@ __all__ = [
     "ContextMismatchError",
     "DigitVector",
     "Factor",
-    "IdempotentSpec",
     "InvalidPrimeError",
     "SummandRecord",
     "UnsupportedCharacteristicError",
     "VerificationReport",
-    "basis_elem",
     "big_b",
     "build",
     "build_prefix",

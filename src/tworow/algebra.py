@@ -22,19 +22,15 @@ from math import comb
 
 import numpy as np
 
-from .errors import ContextMismatchError, InvalidPrimeError
+from .errors import ContextMismatchError
 from .padic import _require_prime, lucas_binom
 
 __all__ = [
     "AlgebraContext",
     "AlgebraElement",
-    "basis_elem",
     "structure_constant",
     "mul",
 ]
-
-# Residues are multiplied in int64, so two of them must fit: p < 2**31.
-_MAX_PRIME = 2**31
 
 
 @dataclass(frozen=True)
@@ -49,10 +45,6 @@ class AlgebraContext:
         if not (self.lambda1 >= self.lambda2 >= 0):
             raise ValueError(
                 f"({self.lambda1},{self.lambda2}) is not a two-row partition"
-            )
-        if self.p >= _MAX_PRIME:
-            raise InvalidPrimeError(
-                f"modulus {self.p} is not below 2**31, the bound for int64 residue products"
             )
         _require_prime(self.p)
 
@@ -267,11 +259,6 @@ class AlgebraElement:
             else:
                 parts.append(f"- {term}" if neg else f"+ {term}")
         return " ".join(parts) if parts else "0"
-
-
-def basis_elem(ctx: AlgebraContext, i: int) -> AlgebraElement:
-    """b(i) in the given context; zero when i exceeds lambda2."""
-    return ctx.basis(i)
 
 
 def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:

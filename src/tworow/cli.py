@@ -77,19 +77,16 @@ def _build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decompose", help="list the Young-module summands of M^lambda")
     dec.add_argument("--lambda", dest="lam", type=_partition, required=True,
                      metavar="L1,L2")
-    dec.add_argument("--p", type=int, default=3)
     dec.add_argument("--json", action="store_true")
 
     idm = sub.add_parser("idempotent", help="print one idempotent e_{m,g}")
     idm.add_argument("--lambda", dest="lam", type=_partition, required=True,
                      metavar="L1,L2")
     idm.add_argument("--g", type=_at_least(0), required=True)
-    idm.add_argument("--p", type=int, default=3)
     idm.add_argument("--json", action="store_true")
 
     ver = sub.add_parser("verify", help="complete-set verification sweep")
     ver.add_argument("--max-r", type=_at_least(0), default=60)
-    ver.add_argument("--p", type=int, default=3)
     # A string default goes through `type` too, so a bad SCHUR_JOBS is a
     # usage error of this subcommand alone.
     ver.add_argument("--jobs", type=_at_least(1),
@@ -102,14 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle-check", help="tensor-space cross-validation")
     orc.add_argument("--max-r", type=_at_least(0), default=8)
-    orc.add_argument("--p", type=int, default=3)
 
     return parser
-
-
-def _require_p3(parser: argparse.ArgumentParser, p: int) -> None:
-    if p != 3:
-        parser.error(f"this command implements the characteristic-3 theory only; got --p {p}")
 
 
 def _cmd_decompose(args) -> int:
@@ -142,14 +133,14 @@ def _cmd_idempotent(args) -> int:
         print(json.dumps(elem.to_json()))
         return 0
     m = ctx.m
+    if g > l2:
+        print(f"g={g} exceeds lambda2={l2}, so e_{{{m},{g}}} = 0 in this algebra")
+        return 0
     if big_b(m, g, 3) == 0:
         print(
             f"C({m + 2 * g},{g}) is divisible by 3, so e_{{{m},{g}}} = 0 "
             f"and ({l1 + g},{l2 - g}) is not a summand of M^({l1},{l2})"
         )
-        return 0
-    if g > l2:
-        print(f"g={g} exceeds lambda2={l2}, so e_{{{m},{g}}} = 0 in this algebra")
         return 0
     print(f"factors: {factor_sequence_text(ctx, g)}")
     print(f"e_{{{m},{g}}} = {elem}")
@@ -203,10 +194,7 @@ def _cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command != "kostka-table":
-        _require_p3(parser, args.p)
+    args = _build_parser().parse_args(argv)
     handlers = {
         "decompose": _cmd_decompose,
         "idempotent": _cmd_idempotent,

@@ -61,12 +61,17 @@ def summands(ctx: AlgebraContext) -> list[SummandRecord]:
     return out
 
 
-def kostka(lam: tuple[int, int], mu: tuple[int, int], p: int) -> int:
-    """Multiplicity (0 or 1) of the mu Young module inside the lambda
-    permutation module, for two-row partitions of the same number."""
+def _require_two_row(lam, mu) -> None:
+    """Reject a lambda or mu that is not a two-row partition."""
     for name, part in (("lambda", lam), ("mu", mu)):
         if len(part) != 2 or not (part[0] >= part[1] >= 0):
             raise ValueError(f"{name}={part} is not a two-row partition")
+
+
+def kostka(lam: tuple[int, int], mu: tuple[int, int], p: int) -> int:
+    """Multiplicity (0 or 1) of the mu Young module inside the lambda
+    permutation module, for two-row partitions of the same number."""
+    _require_two_row(lam, mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"{lam} and {mu} are partitions of different numbers")
     if mu[1] > lam[1]:

@@ -20,7 +20,6 @@ from .padic import big_b, digits, factor_digits, truncate_below, lucas_binom
 
 __all__ = [
     "Factor",
-    "IdempotentSpec",
     "factor_element",
     "build",
     "build_prefix",
@@ -51,23 +50,6 @@ class Factor:
     def in_j(self) -> bool:
         """True for the J-side of the class pair (the side with b > 0)."""
         return self.b > 0
-
-
-@dataclass(frozen=True)
-class IdempotentSpec:
-    """View of the factor sequence of a candidate idempotent."""
-
-    m: int
-    g: int
-
-    @property
-    def factors(self) -> list[Factor]:
-        return [Factor(a, b) for a, b in factor_digits(self.m, self.g, 3)]
-
-    @property
-    def valid(self) -> bool:
-        """True iff every factor is admissible, i.e. C(m+2g, g) != 0 mod 3."""
-        return big_b(self.m, self.g, 3) != 0
 
 
 def _require_char3(ctx: AlgebraContext) -> None:

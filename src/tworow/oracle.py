@@ -5,9 +5,10 @@ has a basis indexed by the lambda2-element subsets of {1..r} (the positions
 carrying the second basis vector).  Divided powers of the raising/lowering
 operators act by subset sums, with no division: the i-th divided power of
 the raising operator sends a subset S to the sum over its i-subsets T of
-S minus T, and the lowering one symmetrically fills i positions of the
-complement.  Composing the two realizes each canonical basis element as an
-explicit matrix mod 3, against which the abstract algebra is checked.
+S minus T, and the lowering one fills i positions of the complement, which
+makes its matrix the transpose of the raising one.  So b(i) = F^(i)E^(i) is
+realized as E^(i)^T E^(i), an explicit matrix mod 3 against which the
+abstract algebra is checked.
 
 Basis subsets are ordered colexicographically, so matrices are reproducible
 byte for byte.
@@ -23,7 +24,7 @@ from math import comb
 import numpy as np
 
 from .algebra import AlgebraContext, AlgebraElement, mul
-from .decompose import partitions_up_to, summands
+from .decompose import _require_two_row, partitions_up_to, summands
 from .errors import ContextMismatchError
 from .idempotents import build
 
@@ -146,12 +147,6 @@ class OperatorMatrix:
     codomain: Slice
     mat: np.ndarray
 
-    def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """self after other."""
-        if other.codomain != self.domain:
-            raise ContextMismatchError("operator slices do not match")
-        return OperatorMatrix(other.domain, self.codomain, _mm3(self.mat, other.mat))
-
     def apply(self, v: WeightVector) -> WeightVector:
         if (v.r, v.lam) != self.domain:
             raise ContextMismatchError("vector does not live in the operator domain")
@@ -185,32 +180,22 @@ def divided_e(r: int, lam: tuple[int, int], i: int) -> OperatorMatrix:
 
 
 def divided_f(r: int, lam: tuple[int, int], i: int) -> OperatorMatrix:
-    """i-th divided power of the lowering operator on the weight-lam slice."""
+    """i-th divided power of the lowering operator on the weight-lam slice.
+
+    Filling i positions of the complement of S reaches T exactly when
+    emptying i positions of T reaches S, so on 0/1 incidence matrices the
+    lowering operator is the transpose of the raising one out of the target.
+    """
     lam = tuple(lam)
-    cod = (lam[0] - i, lam[1] + i)
-    dom_subsets = _subsets(r, lam[1])
-    n_cod = _weight_dim(r, cod)
-    mat = np.zeros((n_cod, len(dom_subsets)), dtype=np.int8)
-    if n_cod:
-        index = _subset_index(r, cod[1])
-        everything = set(range(1, r + 1))
-        for col, s in enumerate(dom_subsets):
-            for added in combinations(sorted(everything - set(s)), i):
-                row = index[frozenset(s) | frozenset(added)]
-                mat[row, col] = (mat[row, col] + 1) % 3
-    return OperatorMatrix((r, lam), (r, cod), mat)
+    up = divided_e(r, (lam[0] - i, lam[1] + i), i)
+    return OperatorMatrix(up.codomain, up.domain, up.mat.T)
 
 
 @lru_cache(maxsize=None)
 def _realize_b_cached(r: int, lam: tuple[int, int], i: int) -> OperatorMatrix:
-    here = (r, lam)
-    dim = _weight_dim(r, lam)
-    up = divided_e(r, lam, i)
-    if up.mat.shape[0] == 0:
-        return OperatorMatrix(here, here, np.zeros((dim, dim), dtype=np.int8))
-    down = divided_f(r, (lam[0] + i, lam[1] - i), i)
-    out = down.compose(up)
-    return OperatorMatrix(here, here, out.mat.astype(np.int8))
+    # b(i) = F^(i) E^(i), and F^(i) out of the raised slice is E^(i) transposed.
+    up = divided_e(r, lam, i).mat
+    return OperatorMatrix((r, lam), (r, lam), _mm3(up.T, up).astype(np.int8))
 
 
 def realize_b(r: int, lam: tuple[int, int], i: int) -> OperatorMatrix:
@@ -238,8 +223,8 @@ def apply_element(x: AlgebraElement, v: WeightVector) -> WeightVector:
         raise ContextMismatchError(
             f"element in {(ctx.lambda1, ctx.lambda2)} applied to vector in {v.lam}"
         )
-    out = (element_matrix(x) @ v.to_dense()) % 3
-    return WeightVector.from_dense(v.r, v.lam, out)
+    here = (v.r, v.lam)
+    return OperatorMatrix(here, here, element_matrix(x)).apply(v)
 
 
 def specht_generator(r: int, lam: tuple[int, int], mu: tuple[int, int]) -> WeightVector:
@@ -250,9 +235,7 @@ def specht_generator(r: int, lam: tuple[int, int], mu: tuple[int, int]) -> Weigh
     generator is the signed column average of the row-invariant sum.
     """
     lam, mu = tuple(lam), tuple(mu)
-    for name, part in (("lambda", lam), ("mu", mu)):
-        if len(part) != 2 or not (part[0] >= part[1] >= 0):
-            raise ValueError(f"{name}={part} is not a two-row partition")
+    _require_two_row(lam, mu)
     if sum(lam) != r or sum(mu) != r:
         raise ValueError(f"{lam} and {mu} must be partitions of r={r}")
     if mu[1] > lam[1]:
@@ -286,13 +269,10 @@ def j_matrix(r: int, lam: tuple[int, int]) -> OperatorMatrix:
     """Matrix of the column-adding injection on the weight-lam slice."""
     lam = tuple(lam)
     big = (lam[0] + 1, lam[1] + 1)
-    index = _subset_index(r + 2, big[1])
     dom_subsets = _subsets(r, lam[1])
     mat = np.zeros((_weight_dim(r + 2, big), len(dom_subsets)), dtype=np.int8)
     for col, s in enumerate(dom_subsets):
-        shifted = frozenset(x + 2 for x in s)
-        mat[index[shifted | {2}], col] = 1
-        mat[index[shifted | {1}], col] = 2
+        mat[:, col] = j_map(WeightVector.basis(r, lam, s)).to_dense()
     return OperatorMatrix((r, lam), (r + 2, big), mat)
 
 

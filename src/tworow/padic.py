@@ -25,8 +25,12 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def _require_prime(p: int) -> int:
-    # Trial division is enough: primality proving is out of scope and the
-    # primes used in practice are tiny.
+    # Residues are multiplied in int64, so two of them must fit: p < 2**31.
+    # The bound also caps trial division, which is enough below it.
+    if p >= 2**31:
+        raise InvalidPrimeError(
+            f"modulus {p} is not below 2**31, the bound for int64 residue products"
+        )
     if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         raise InvalidPrimeError(f"modulus {p} is not a prime >= 2")
     return p

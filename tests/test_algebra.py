@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tworow.algebra import AlgebraContext, AlgebraElement, basis_elem, mul, structure_constant
+from tworow.algebra import AlgebraContext, AlgebraElement, mul, structure_constant
 from tworow.errors import ContextMismatchError, InvalidPrimeError
 from tworow.padic import digits
 
@@ -63,16 +63,16 @@ small_contexts = st.tuples(
 class TestBasis:
     def test_identity_vector(self):
         ctx = ctx_of(9, 4)
-        assert basis_elem(ctx, 0).coeffs == (1, 0, 0, 0, 0)
+        assert ctx.basis(0).coeffs == (1, 0, 0, 0, 0)
 
     def test_truncation(self):
         ctx = ctx_of(3, 1)
-        assert basis_elem(ctx, 2).is_zero()
+        assert ctx.basis(2).is_zero()
 
     def test_in_range(self):
         ctx = ctx_of(36, 13)
-        assert basis_elem(ctx, 13).coeffs[13] == 1
-        assert basis_elem(ctx, 13).support() == [13]
+        assert ctx.basis(13).coeffs[13] == 1
+        assert ctx.basis(13).support() == [13]
 
     def test_bad_partition(self):
         with pytest.raises(ValueError):

@@ -38,6 +38,14 @@ class TestIdempotentCommand:
         assert code == 0
         assert "exceeds lambda2" in out
 
+    @pytest.mark.parametrize("g", [3, 4, 5, 6])
+    def test_g_above_lambda2_names_no_partition(self, capsys, g):
+        # C(2g, g) is divisible by 3 at g = 5 and 6; that must not lead to a
+        # statement about the non-partition (2+g, 2-g).
+        code, out = run(capsys, "idempotent", "--lambda", "2,2", "--g", str(g))
+        assert code == 0
+        assert out == f"g={g} exceeds lambda2=2, so e_{{0,{g}}} = 0 in this algebra\n"
+
 
 class TestDecomposeCommand:
     def test_row_module(self, capsys):
@@ -169,3 +177,9 @@ class TestUsageErrors:
 
     def test_composite_kostka_prime_exits_2(self, capsys):
         assert "not a prime" in self.usage_error(capsys, "kostka-table", "--max-r", "2", "--p", "4")
+
+    def test_huge_kostka_prime_exits_2(self, capsys):
+        text = self.usage_error(
+            capsys, "kostka-table", "--max-r", "1", "--p", "1000000000000000003"
+        )
+        assert "2**31" in text

@@ -6,7 +6,6 @@ from tworow.algebra import AlgebraContext
 from tworow.errors import UnsupportedCharacteristicError
 from tworow.idempotents import (
     Factor,
-    IdempotentSpec,
     build,
     build_prefix,
     factor_element,
@@ -15,7 +14,7 @@ from tworow.idempotents import (
     psi_recursion_check,
     square_closed_form,
 )
-from tworow.padic import big_b, carry_sequence
+from tworow.padic import big_b, carry_sequence, factor_digits
 
 ADMISSIBLE = [(0, 0), (2, 1), (1, 0), (2, 2), (2, 0), (1, 1)]
 
@@ -51,11 +50,12 @@ class TestFactor:
         for members in by_class.values():
             assert sorted(f.in_j for f in members) == [False, True]
 
-    def test_spec_view(self):
-        spec = IdempotentSpec(23, 13)
-        assert [(f.a, f.b) for f in spec.factors] == [(1, 1), (1, 1), (2, 1), (1, 0)]
-        assert spec.valid
-        assert not IdempotentSpec(1, 1).valid
+    def test_digit_pairs_and_validity(self):
+        pairs = factor_digits(23, 13, 3)
+        assert pairs == [(1, 1), (1, 1), (2, 1), (1, 0)]
+        assert all(Factor(a, b).admissible for a, b in pairs)
+        assert big_b(23, 13, 3) != 0
+        assert big_b(1, 1, 3) == 0
 
 
 class TestFactorElement:

@@ -1,5 +1,8 @@
 """Tensor-space realization checks: divided powers, polytabloids, the j-map."""
 
+from itertools import combinations
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,12 @@ from tworow.oracle import (
 def vec(wv):
     """Readable dict form of a weight vector."""
     return {tuple(sorted(s)): c for s, c in wv.coeffs.items()}
+
+
+def colex(r, k):
+    """k-subsets of {1..r} in colexicographic order, as frozensets."""
+    subsets = sorted(combinations(range(1, r + 1), k), key=lambda s: s[::-1])
+    return [frozenset(s) for s in subsets]
 
 
 def rank_mod3(mat):
@@ -66,6 +75,25 @@ class TestDividedPowers:
         op = divided_e(2, (1, 1), 2)
         assert op.mat.shape == (0, 2)
 
+    def test_lowering_fills_positions_of_the_complement(self):
+        # Built here from the definition, with no use of the raising operator.
+        for r in range(9):
+            for w2 in range(r + 1):
+                dom = colex(r, w2)
+                for i in range(r - w2 + 2):
+                    cod = colex(r, w2 + i)
+                    index = {s: row for row, s in enumerate(cod)}
+                    expected = np.zeros((len(cod), len(dom)), dtype=np.int64)
+                    for col, s in enumerate(dom):
+                        rest = sorted(set(range(1, r + 1)) - s)
+                        for added in combinations(rest, i):
+                            expected[index[s | frozenset(added)], col] += 1
+                    op = divided_f(r, (r - w2, w2), i)
+                    assert op.domain == (r, (r - w2, w2))
+                    assert op.codomain == (r, (r - w2 - i, w2 + i))
+                    assert op.mat.shape == expected.shape
+                    assert np.array_equal(op.mat, expected % 3)
+
     def test_iterated_single_step_is_factorial_multiple(self):
         # composing i single raisings equals i! times the i-th divided power
         from math import factorial
@@ -95,6 +123,23 @@ class TestRealizeB:
 
     def test_truncated_index_is_zero(self):
         assert not realize_b(4, (3, 1), 2).mat.any()
+
+    def test_johnson_scheme_closed_form(self):
+        # b(i) sends S to the sum over T of C(lambda2-k, i-k) T, k = |S \ T|:
+        # of the i positions emptied, the k in S \ T are forced.
+        for r in range(10):
+            for lam in two_row_partitions(r):
+                subsets = colex(r, lam[1])
+                for i in range(lam[1] + 2):
+                    expected = np.array([
+                        [
+                            comb(lam[1] - len(s - t), i - len(s - t)) % 3
+                            if i >= len(s - t) else 0
+                            for s in subsets
+                        ]
+                        for t in subsets
+                    ])
+                    assert np.array_equal(realize_b(r, lam, i).mat, expected)
 
 
 class TestApplyElement:

@@ -80,6 +80,11 @@ class TestLucasBinom:
     def test_b_above_a(self):
         assert lucas_binom(5, 9, 3) == 0
 
+    def test_rejects_huge_prime_before_trial_division(self):
+        # Trial division up to sqrt(10**18) would take minutes.
+        with pytest.raises(InvalidPrimeError, match="2\\*\\*31"):
+            lucas_binom(5, 2, 10**18 + 3)
+
     def test_exhaustive_small_vs_factorials(self):
         fact = [1]
         for i in range(1, 121):
