@@ -12,13 +12,22 @@ abstract algebra is checked.
 
 Basis subsets are ordered colexicographically, so matrices are reproducible
 byte for byte.
+
+The cross-validation sweeps form no matrices.  Every realized b(i) commutes
+with the place permutations, and M^lambda is generated by the basis vector
+of one subset S0 = {1..lambda2}, so two such endomorphisms are equal exactly
+when they agree on e_S0.  The checks therefore apply b(i) = E^(i)^T E^(i) to
+thin blocks of vectors through the incidence pairs of E^(i) (a subset-sum
+kernel), and they check the equivariance the reduction rests on: the pair
+set of every E^(i) they use, and the map j, must be invariant under the
+generators (1 2) and (1 2 ... r) of the symmetric group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -52,15 +61,44 @@ Slice = tuple[int, tuple[int, int]]
 
 
 @lru_cache(maxsize=None)
+def _pascal(r: int) -> np.ndarray:
+    """C(n, j) for n < r and j <= r, as int64."""
+    table = [[comb(n, j) for j in range(r + 1)] for n in range(r)]
+    return np.array(table, dtype=np.int64).reshape(r, r + 1)
+
+
+def _colex_rank(r: int, subsets: np.ndarray) -> np.ndarray:
+    """Colex indices of the ascending 0-based subsets of {0..r-1} in the last
+    axis: the subset c_1 < ... < c_t has index sum_u C(c_u, u)."""
+    return _pascal(r)[subsets, np.arange(1, subsets.shape[-1] + 1)].sum(axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _combos(r: int, k: int) -> np.ndarray:
+    """The k-subsets of {0..r-1} in colexicographic order, one ascending row each."""
+    n = comb(r, k)
+    flat = chain.from_iterable(combinations(range(r), k))
+    lex = np.fromiter(flat, dtype=np.int64, count=n * k).reshape(n, k)
+    out = np.empty_like(lex)
+    out[_colex_rank(r, lex)] = lex
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
 def _subsets(r: int, k: int) -> tuple[tuple[int, ...], ...]:
     """k-subsets of {1..r} in colexicographic order."""
-    combos = combinations(range(1, r + 1), k)
-    return tuple(sorted(combos, key=lambda s: tuple(reversed(s))))
+    return tuple(map(tuple, (_combos(r, k) + 1).tolist()))
 
 
 @lru_cache(maxsize=None)
 def _subset_index(r: int, k: int) -> dict[frozenset, int]:
     return {frozenset(s): i for i, s in enumerate(_subsets(r, k))}
+
+
+@lru_cache(maxsize=None)
+def _positions(r: int) -> frozenset:
+    return frozenset(range(1, r + 1))
 
 
 def _weight_dim(r: int, weight: tuple[int, int]) -> int:
@@ -70,10 +108,113 @@ def _weight_dim(r: int, weight: tuple[int, int]) -> int:
     return comb(r, weight[1])
 
 
-def _mm3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Inner dimensions at desk scale keep the exact integer products well
-    # below 2**53, so BLAS on float64 is exact.
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % 3
+@lru_cache(maxsize=None)
+def _incidence(r: int, k: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Incidence of E^(i) out of the k-subsets of {1..r}, as gather tables.
+
+    E^(i) sends subset S to the sum of the subsets left when i of its
+    positions are emptied; distinct choices leave distinct subsets, so every
+    entry is 0 or 1.  Each column holds C(k, i) entries and each row
+    C(r-k+i, i).  `down[S]` lists the rows of column S and `up[T]` the
+    columns of row T, by colex index; the codomain has len(up) subsets.
+    """
+    if i > k:
+        down, up = np.zeros((comb(r, k), 0), dtype=np.int64), np.zeros((0, 0), dtype=np.int64)
+    else:
+        down = _colex_rank(r, _combos(r, k)[:, _combos(k, k - i)])
+        up = np.argsort(down, axis=None, kind="stable") // down.shape[1]
+        up = up.reshape(comb(r, k - i), comb(r - k + i, i))
+    down.flags.writeable = up.flags.writeable = False
+    return down, up
+
+
+def _apply_b(r: int, k: int, i: int, block: np.ndarray) -> np.ndarray:
+    """b(i) = E^(i)^T E^(i) applied to the columns of an int64 residue block
+    on the k-subsets of {1..r}: exact subset sums, reduced mod 3."""
+    down, up = _incidence(r, k, i)
+    raised = block[up].sum(axis=1) % 3
+    return raised[down].sum(axis=1) % 3
+
+
+def _images(r: int, k: int, block: np.ndarray) -> np.ndarray:
+    """b(h)·block for h = 0..k, stacked along the first axis."""
+    return np.stack([_apply_b(r, k, h, block) for h in range(k + 1)])
+
+
+@lru_cache(maxsize=None)
+def _generator_images(r: int, k: int) -> np.ndarray:
+    """Columns b(h)·e_S0 for h = 0..k, where S0 = {1..k} has colex index 0."""
+    e0 = np.zeros((comb(r, k), 1), dtype=np.int64)
+    e0[0] = 1
+    out = _images(r, k, e0)[:, :, 0].T
+    out.flags.writeable = False
+    return out
+
+
+def _generators(n: int, shift: int = 0) -> list[tuple[int, ...]]:
+    """The place permutations (1 2) and (1 2 ... n) of the positions
+    shift+1..shift+n, as 0-based image tuples on shift+n positions."""
+    if n < 2:
+        return []
+    fixed = tuple(range(shift))
+    swap = fixed + tuple(shift + x for x in (1, 0, *range(2, n)))
+    cycle = fixed + tuple(shift + (x + 1) % n for x in range(n))
+    return [swap, cycle]
+
+
+@lru_cache(maxsize=None)
+def _permuted(r: int, k: int, perm: tuple[int, ...]) -> np.ndarray:
+    """Colex index of perm(S), indexed by the colex index of the k-subset S."""
+    moved = np.array(perm, dtype=np.int64)[_combos(r, k)]
+    return _colex_rank(r, np.sort(moved, axis=1))
+
+
+def _commutes(rows, cols, vals, dom: tuple[int, int], cod: tuple[int, int]) -> bool:
+    """Whether the operator with entries `vals` (residues) at (rows, cols)
+    commutes with the place permutations (1 2) and (1 2 ... r).
+
+    It maps the k-subsets of {1..r}, dom = (r, k), to the k'-subsets of
+    {1..r'}, cod = (r', k'); on the codomain the permutations act on the
+    last r positions, which covers j as well as E^(i).
+    """
+    (r, k), (r_cod, k_cod) = dom, cod
+    n = comb(r, k)
+    entries = np.sort((rows * n + cols) * 3 + vals)
+    for perm, perm_cod in zip(_generators(r), _generators(r, r_cod - r)):
+        moved = _permuted(r_cod, k_cod, perm_cod)[rows] * n + _permuted(r, k, perm)[cols]
+        if not np.array_equal(np.sort(moved * 3 + vals), entries):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _equivariant(r: int, k: int, i: int) -> bool:
+    """Whether E^(i) out of the k-subsets of {1..r} commutes with S_r."""
+    down = _incidence(r, k, i)[0]
+    cols = np.repeat(np.arange(len(down)), down.shape[1])
+    return _commutes(down.ravel(), cols, 1, (r, k), (r, k - i))
+
+
+def _equivariance_failures(lam: tuple[int, int]) -> list[str]:
+    """E^(i), i <= lambda2, on the weight-lam slice must commute with S_r."""
+    r, k = sum(lam), lam[1]
+    return [
+        f"lambda={lam}: E^({i}) not equivariant"
+        for i in range(k + 1)
+        if not _equivariant(r, k, i)
+    ]
+
+
+def _j_incidence(r: int, lam: tuple[int, int]):
+    """Entries (rows, cols, vals) of j on the weight-lam slice, read off j_map."""
+    index = _subset_index(r + 2, lam[1] + 1)
+    rows, cols, vals = [], [], []
+    for col, s in enumerate(_subsets(r, lam[1])):
+        for t, c in j_map(WeightVector.basis(r, lam, s)).coeffs.items():
+            rows.append(index[t])
+            cols.append(col)
+            vals.append(c)
+    return tuple(np.array(a, dtype=np.int64) for a in (rows, cols, vals))
 
 
 @dataclass
@@ -86,7 +227,17 @@ class WeightVector:
 
     def __post_init__(self):
         self.lam = tuple(self.lam)
-        self.coeffs = {s: c % 3 for s, c in self.coeffs.items() if c % 3}
+        r, lam = self.r, self.lam
+        if len(lam) != 2 or min(lam) < 0 or sum(lam) != r:
+            raise ValueError(f"weight {lam} is not a composition of r={r} into two parts")
+        positions = _positions(r)
+        coeffs = {}
+        for s, c in self.coeffs.items():
+            if not (isinstance(s, frozenset) and len(s) == lam[1] and s <= positions):
+                raise ValueError(f"{s!r} is not a weight-{lam} basis subset of 1..{r}")
+            if c % 3:
+                coeffs[s] = c % 3
+        self.coeffs = coeffs
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -130,10 +281,7 @@ class WeightVector:
 
     @staticmethod
     def basis(r: int, lam: tuple[int, int], positions) -> "WeightVector":
-        s = frozenset(positions)
-        if len(s) != lam[1] or not s <= set(range(1, r + 1)):
-            raise ValueError(f"{sorted(s)} is not a weight-{tuple(lam)} basis subset")
-        return WeightVector(r, lam, {s: 1})
+        return WeightVector(r, lam, {frozenset(positions): 1})
 
 
 @dataclass
@@ -165,17 +313,14 @@ class OperatorMatrix:
 
 def divided_e(r: int, lam: tuple[int, int], i: int) -> OperatorMatrix:
     """i-th divided power of the raising operator on the weight-lam slice."""
+    if i < 0:
+        raise ValueError(f"divided power index i={i} must be non-negative")
     lam = tuple(lam)
     cod = (lam[0] + i, lam[1] - i)
-    dom_subsets = _subsets(r, lam[1])
-    n_cod = _weight_dim(r, cod)
-    mat = np.zeros((n_cod, len(dom_subsets)), dtype=np.int8)
-    if n_cod:
-        index = _subset_index(r, cod[1])
-        for col, s in enumerate(dom_subsets):
-            for removed in combinations(s, i):
-                row = index[frozenset(s) - frozenset(removed)]
-                mat[row, col] = (mat[row, col] + 1) % 3
+    mat = np.zeros((_weight_dim(r, cod), comb(r, lam[1])), dtype=np.int8)
+    if mat.shape[0]:
+        down = _incidence(r, lam[1], i)[0]
+        mat[down, np.arange(len(down))[:, None]] = 1
     return OperatorMatrix((r, lam), (r, cod), mat)
 
 
@@ -194,8 +339,11 @@ def divided_f(r: int, lam: tuple[int, int], i: int) -> OperatorMatrix:
 @lru_cache(maxsize=None)
 def _realize_b_cached(r: int, lam: tuple[int, int], i: int) -> OperatorMatrix:
     # b(i) = F^(i) E^(i), and F^(i) out of the raised slice is E^(i) transposed.
-    up = divided_e(r, lam, i).mat
-    return OperatorMatrix((r, lam), (r, lam), _mm3(up.T, up).astype(np.int8))
+    # Inner dimensions at desk scale keep the exact integer products well
+    # below 2**53, so BLAS on float64 is exact.
+    up = divided_e(r, lam, i).mat.astype(np.float64)
+    product = (up.T @ up).astype(np.int64) % 3
+    return OperatorMatrix((r, lam), (r, lam), product.astype(np.int8))
 
 
 def realize_b(r: int, lam: tuple[int, int], i: int) -> OperatorMatrix:
@@ -215,7 +363,7 @@ def element_matrix(x: AlgebraElement) -> np.ndarray:
 
 
 def apply_element(x: AlgebraElement, v: WeightVector) -> WeightVector:
-    """Apply an algebra element to a weight vector through its realization."""
+    """Apply an algebra element to a weight vector through the subset-sum kernel."""
     ctx = x.context
     if ctx.p != 3:
         raise ContextMismatchError("the tensor oracle works mod 3")
@@ -223,8 +371,8 @@ def apply_element(x: AlgebraElement, v: WeightVector) -> WeightVector:
         raise ContextMismatchError(
             f"element in {(ctx.lambda1, ctx.lambda2)} applied to vector in {v.lam}"
         )
-    here = (v.r, v.lam)
-    return OperatorMatrix(here, here, element_matrix(x)).apply(v)
+    image = np.tensordot(x.coeffs, _images(v.r, v.lam[1], v.to_dense()[:, None]), 1)
+    return WeightVector.from_dense(v.r, v.lam, image[:, 0] % 3)
 
 
 def specht_generator(r: int, lam: tuple[int, int], mu: tuple[int, int]) -> WeightVector:
@@ -269,54 +417,66 @@ def j_matrix(r: int, lam: tuple[int, int]) -> OperatorMatrix:
     """Matrix of the column-adding injection on the weight-lam slice."""
     lam = tuple(lam)
     big = (lam[0] + 1, lam[1] + 1)
-    dom_subsets = _subsets(r, lam[1])
-    mat = np.zeros((_weight_dim(r + 2, big), len(dom_subsets)), dtype=np.int8)
-    for col, s in enumerate(dom_subsets):
-        mat[:, col] = j_map(WeightVector.basis(r, lam, s)).to_dense()
+    rows, cols, vals = _j_incidence(r, lam)
+    mat = np.zeros((_weight_dim(r + 2, big), _weight_dim(r, lam)), dtype=np.int8)
+    mat[rows, cols] = vals
     return OperatorMatrix((r, lam), (r + 2, big), mat)
 
 
 def check_basis_products(r_max: int) -> list[str]:
-    """Matrix products of realized basis elements vs the abstract multiply."""
+    """Realized basis products vs the abstract multiply, on the generator e_S0."""
     failures = []
     for lam in partitions_up_to(r_max):
-        r = sum(lam)
+        r, k = sum(lam), lam[1]
         ctx = AlgebraContext(lam[0], lam[1], 3)
-        mats = [realize_b(r, lam, i).mat.astype(np.int64) for i in range(lam[1] + 1)]
-        for i in range(lam[1] + 1):
-            for j in range(lam[1] + 1):
-                product = _mm3(mats[i], mats[j])
-                expected = element_matrix(mul(ctx.basis(i), ctx.basis(j)))
-                if not np.array_equal(product, expected):
+        failures += _equivariance_failures(lam)
+        gen = _generator_images(r, k)
+        products = _images(r, k, gen)
+        for i in range(k + 1):
+            for j in range(k + 1):
+                expected = gen @ mul(ctx.basis(i), ctx.basis(j)).coeffs % 3
+                if not np.array_equal(products[i][:, j], expected):
                     failures.append(f"lambda={lam}: b({i})b({j}) mismatch")
     return failures
 
 
 def check_idempotent_matrices(r_max: int) -> list[str]:
-    """Realized idempotents square to themselves as matrices."""
+    """Realized idempotents are idempotent, on the generator e_S0."""
     failures = []
     for lam in partitions_up_to(r_max):
+        r, k = sum(lam), lam[1]
         ctx = AlgebraContext(lam[0], lam[1], 3)
-        for rec in summands(ctx):
-            mat = element_matrix(rec.idempotent)
-            if not np.array_equal(_mm3(mat, mat), mat):
+        failures += _equivariance_failures(lam)
+        recs = summands(ctx)
+        coeffs = np.array([rec.idempotent.coeffs for rec in recs], dtype=np.int64).T
+        once = _generator_images(r, k) @ coeffs % 3
+        twice = np.einsum("hn,hdn->dn", coeffs, _images(r, k, once)) % 3
+        for col, rec in enumerate(recs):
+            if not np.array_equal(twice[:, col], once[:, col]):
                 failures.append(f"lambda={lam}, g={rec.g}: matrix not idempotent")
     return failures
 
 
 def check_j_commutation(r_max: int) -> list[str]:
-    """The column-adding injection commutes with every idempotent."""
+    """The column-adding injection commutes with every idempotent, on e_S0."""
     failures = []
     for lam in partitions_up_to(r_max):
-        r = sum(lam)
+        r, k = sum(lam), lam[1]
         big = (lam[0] + 1, lam[1] + 1)
-        jm = j_matrix(r, lam).mat.astype(np.int64)
+        failures += _equivariance_failures(lam) + _equivariance_failures(big)
+        if not _commutes(*_j_incidence(r, lam), (r, k), (r + 2, k + 1)):
+            failures.append(f"lambda={lam}: j not equivariant")
         ctx = AlgebraContext(lam[0], lam[1], 3)
         big_ctx = AlgebraContext(big[0], big[1], 3)
+        small = _generator_images(r, k)
+        e0 = WeightVector.basis(r, lam, range(1, k + 1))
+        j0 = j_map(e0).to_dense()[:, None]
+        large = _images(r + 2, k + 1, j0)[:, :, 0].T
         for rec in summands(ctx):
-            small = element_matrix(rec.idempotent)
-            large = element_matrix(build(big_ctx, rec.g))
-            if not np.array_equal(_mm3(jm, small), _mm3(large, jm)):
+            image = small @ np.array(rec.idempotent.coeffs) % 3
+            left = j_map(WeightVector.from_dense(r, lam, image)).to_dense()
+            right = large @ np.array(build(big_ctx, rec.g).coeffs) % 3
+            if not np.array_equal(left, right):
                 failures.append(f"lambda={lam}, g={rec.g}: j does not commute")
     return failures
 
@@ -328,19 +488,22 @@ def check_specht_labels(r_max: int) -> list[str]:
         r = sum(lam)
         ctx = AlgebraContext(lam[0], lam[1], 3)
         recs = summands(ctx)
-        for rec in recs:
-            eps = specht_generator(r, lam, rec.mu)
+        gens = [specht_generator(r, lam, rec.mu) for rec in recs]
+        block = np.stack([eps.to_dense() for eps in gens], axis=1)
+        images = _images(r, lam[1], block)
+        hits = [
+            (np.tensordot(other.idempotent.coeffs, images, 1) % 3).any(axis=0)
+            for other in recs
+        ]
+        for col, (rec, eps) in enumerate(zip(recs, gens)):
             if eps.is_zero():
                 failures.append(f"lambda={lam}, mu={rec.mu}: zero polytabloid")
                 continue
-            vec = eps.to_dense()
-            for other in recs:
-                image = (element_matrix(other.idempotent) @ vec) % 3
-                hit = bool(image.any())
-                if hit != (other.g == rec.g):
+            for other, hit in zip(recs, hits):
+                if hit[col] != (other.g == rec.g):
                     failures.append(
                         f"lambda={lam}, mu={rec.mu}: e(g={other.g}) "
-                        f"{'hits' if hit else 'kills'} the generator"
+                        f"{'hits' if hit[col] else 'kills'} the generator"
                     )
     return failures
 

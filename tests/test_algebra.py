@@ -59,6 +59,13 @@ small_contexts = st.tuples(
     st.integers(0, 8), st.integers(0, 8), st.sampled_from((2, 3, 5))
 ).map(lambda t: AlgebraContext(t[0] + t[1], t[1], t[2]))
 
+# m small or far past 3^10 (multi-digit Lucas binomials), lambda2 up to 30.
+any_contexts = st.tuples(
+    st.one_of(st.integers(0, 40), st.integers(3**10, 10**12)),
+    st.integers(0, 30),
+    st.sampled_from((2, 3, 5, 7)),
+).map(lambda t: AlgebraContext(t[0] + t[1], t[1], t[2]))
+
 
 class TestBasis:
     def test_identity_vector(self):
@@ -140,6 +147,12 @@ class TestMul:
                         left = bi * bj
                         for bk in basis:
                             assert (left * bk) == bi * (bj * bk)
+
+    @settings(max_examples=30, deadline=None)
+    @given(any_contexts.flatmap(lambda c: st.tuples(elements(c), elements(c), elements(c))))
+    def test_associative_on_random_elements(self, triple):
+        x, y, z = triple
+        assert (x * y) * z == x * (y * z)
 
     def test_truncation_consistency(self):
         # multiply at lambda2 = N, chop above N', compare with direct N' run
@@ -283,3 +296,9 @@ class TestJson:
         assert data["lambda"] == [36, 13] and data["p"] == 3
         assert all(isinstance(c, int) and c >= 0 for c in data["coeffs"])
         assert AlgebraElement.from_json(data) == e
+
+    @settings(max_examples=50, deadline=None)
+    @given(any_contexts.flatmap(elements))
+    def test_round_trip_fuzz(self, x):
+        blob = json.dumps(x.to_json())
+        assert AlgebraElement.from_json(json.loads(blob)) == x

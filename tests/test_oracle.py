@@ -1,20 +1,26 @@
 """Tensor-space realization checks: divided powers, polytabloids, the j-map."""
 
+import dataclasses
+import random
 from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
 
-from tworow.algebra import AlgebraContext, mul
+import tworow.oracle as oracle
+from tworow.algebra import AlgebraContext, AlgebraElement, mul
 from tworow.decompose import summands, two_row_partitions
 from tworow.errors import ContextMismatchError
 from tworow.idempotents import build
 from tworow.oracle import (
+    OperatorMatrix,
     WeightVector,
     apply_element,
     check_basis_products,
+    check_idempotent_matrices,
     check_j_commutation,
+    check_specht_labels,
     cross_validate,
     divided_e,
     divided_f,
@@ -94,6 +100,11 @@ class TestDividedPowers:
                     assert op.mat.shape == expected.shape
                     assert np.array_equal(op.mat, expected % 3)
 
+    def test_negative_index_is_named(self):
+        for op in (divided_e, divided_f, realize_b):
+            with pytest.raises(ValueError, match="i=-1"):
+                op(4, (2, 2), -1)
+
     def test_iterated_single_step_is_factorial_multiple(self):
         # composing i single raisings equals i! times the i-th divided power
         from math import factorial
@@ -140,6 +151,112 @@ class TestRealizeB:
                         for t in subsets
                     ])
                     assert np.array_equal(realize_b(r, lam, i).mat, expected)
+
+
+class TestWeightVector:
+    def test_rejects_subset_of_the_wrong_size(self):
+        with pytest.raises(ValueError, match="basis subset"):
+            WeightVector(4, (2, 2), {frozenset({1, 2, 3}): 1})
+
+    def test_rejects_positions_outside_the_range(self):
+        for bad in (frozenset({1, 5}), frozenset({0, 1}), (1, 2)):
+            with pytest.raises(ValueError, match="basis subset"):
+                WeightVector(4, (2, 2), {bad: 1})
+
+    def test_rejects_weight_that_is_not_a_composition(self):
+        for lam in ((3, 2), (5, -1), (2, 1, 1)):
+            with pytest.raises(ValueError, match="composition"):
+                WeightVector(4, lam, {})
+
+
+class TestKernel:
+    """The subset-sum kernel against the dense realized matrices."""
+
+    def test_block_apply_matches_realized_matrix(self):
+        rng = np.random.default_rng(8)
+        for r in range(10):
+            for lam in two_row_partitions(r):
+                block = rng.integers(0, 3, size=(comb(r, lam[1]), 3))
+                for i in range(lam[1] + 2):
+                    expected = realize_b(r, lam, i).mat.astype(np.int64) @ block % 3
+                    assert np.array_equal(oracle._apply_b(r, lam[1], i, block), expected)
+
+    def test_apply_element_matches_element_matrix(self):
+        rng = random.Random(4)
+        for lam in [(1, 1), (4, 1), (3, 3), (5, 2), (6, 4)]:
+            r, here = sum(lam), (sum(lam), lam)
+            ctx = AlgebraContext(lam[0], lam[1], 3)
+            for _ in range(4):
+                x = ctx.from_coeffs([rng.randrange(3) for _ in range(ctx.dim)])
+                v = WeightVector(r, lam, {s: rng.randrange(3) for s in colex(r, lam[1])})
+                dense = OperatorMatrix(here, here, element_matrix(x)).apply(v)
+                assert apply_element(x, v) == dense
+
+
+@pytest.fixture
+def fresh_kernel_caches():
+    """Drop verdicts and images computed from a kernel a test replaces."""
+    caches = (oracle._equivariant, oracle._generator_images)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+class TestFaultsAreCaught:
+    """The checks on the generator e_S0 still see a wrong input."""
+
+    def test_corrupted_product_is_named(self, monkeypatch):
+        def corrupted(x, y):
+            z = mul(x, y)
+            ctx = x.context
+            if (ctx.lambda1, ctx.lambda2) == (5, 3) and (x, y) == (ctx.basis(2), ctx.basis(3)):
+                return AlgebraElement(ctx, ((z.coeffs[0] + 1) % 3, *z.coeffs[1:]))
+            return z
+
+        monkeypatch.setattr(oracle, "mul", corrupted)
+        assert check_basis_products(8) == ["lambda=(5, 3): b(2)b(3) mismatch"]
+
+    def test_moved_incidence_pair_breaks_equivariance(self, monkeypatch, fresh_kernel_caches):
+        honest = oracle._incidence
+
+        def moved(r, k, i):
+            down, up = honest(r, k, i)
+            if (r, k, i) == (8, 3, 2):
+                down = down.copy()
+                down[5, 0] = (down[5, 0] + 1) % len(up)
+            return down, up
+
+        monkeypatch.setattr(oracle, "_incidence", moved)
+        line = "lambda=(5, 3): E^(2) not equivariant"
+        assert line in check_basis_products(8)
+        assert line in check_idempotent_matrices(8)
+
+    def test_swapped_idempotents_fail_the_labels(self, monkeypatch):
+        def swapped(ctx):
+            recs = summands(ctx)
+            if len(recs) < 2:
+                return recs
+            a, b, *rest = recs
+            return [
+                dataclasses.replace(a, idempotent=b.idempotent),
+                dataclasses.replace(b, idempotent=a.idempotent),
+                *rest,
+            ]
+
+        monkeypatch.setattr(oracle, "summands", swapped)
+        failures = check_specht_labels(6)
+        assert any(line.startswith("lambda=(2, 2), mu=(2, 2)") for line in failures)
+
+    def test_skewed_injection_breaks_equivariance(self, monkeypatch):
+        def skewed(v):
+            # forgets the images of subsets holding position 1
+            out = j_map(v)
+            return WeightVector(out.r, out.lam, {t: c for t, c in out.coeffs.items() if 3 not in t})
+
+        monkeypatch.setattr(oracle, "j_map", skewed)
+        assert "lambda=(3, 2): j not equivariant" in check_j_commutation(5)
 
 
 class TestApplyElement:
@@ -267,6 +384,13 @@ class TestCrossValidation:
 
     def test_basis_products_medium(self):
         assert check_basis_products(8) == []
+
+    def test_command_line_scale(self):
+        report = cross_validate(12)
+        assert report.ok, report.failures
+
+    def test_basis_products_past_the_dense_scale(self):
+        assert check_basis_products(14) == []
 
     def test_j_commutation_example(self):
         assert check_j_commutation(6) == []
