@@ -33,6 +33,10 @@ from .padic import _require_prime, big_b
 __all__ = ["main"]
 
 
+# Failing partitions that `verify` lists in full; the rest are only counted.
+_MAX_REPORTED = 10
+
+
 def _partition(text: str) -> tuple[int, int]:
     try:
         l1, l2 = (int(part) for part in text.split(","))
@@ -163,10 +167,12 @@ def _cmd_verify(args) -> int:
     bad = [item for item in results if not item[1]]
     print(f"verified {len(results)} partitions with r <= {args.max_r}")
     if bad:
-        lam, _, failures = bad[0]
-        print(f"FAIL: {len(bad)} partitions failed; first counterexample lambda={lam}:")
-        for line in failures:
-            print(f"  {line}")
+        more = f"; the first {_MAX_REPORTED}" if len(bad) > _MAX_REPORTED else ""
+        print(f"FAIL: {len(bad)} partitions failed{more}:")
+        for lam, _, failures in bad[:_MAX_REPORTED]:
+            print(f"lambda={lam}:")
+            for line in failures:
+                print(f"  {line}")
         return 1
     print("PASS: complete orthogonal idempotent sets everywhere")
     return 0

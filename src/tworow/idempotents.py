@@ -1,17 +1,22 @@
 """The characteristic-3 idempotent construction.
 
 Each base-3 digit position u of C(m+2g, g) contributes one factor: the digit
-pair ((m+2g)_u, g_u) selects an algebra element supported on b(3^u) and
+pair ((m+2g)_u, g_u) selects an algebra element supported on 1, b(3^u) and
 b(2*3^u) via a fixed six-entry table, and the idempotent for (m, g) is the
 product of these factors.  Digit pairs with g_u > (m+2g)_u (exactly the case
 C(m+2g, g) = 0 mod 3) map to zero.
+
+The product needs no multiplication.  When i and j share no non-zero base-3
+digit position, C(h,i)C(h,j) != 0 mod 3 forces h = i + j (Lucas), and the
+structure constant there is 1, so b(i)b(j) = b(i+j).  Factors at different
+positions are therefore digit-disjoint, and truncation to b(0..lambda2) is a
+ring map, so the coefficient of b(n) in the product is the product over u of
+factor u's coefficient at the digit n_u, for n <= lambda2.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import reduce
 from math import comb
 
 from .algebra import AlgebraContext, AlgebraElement
@@ -42,14 +47,9 @@ class Factor:
         return 0 <= self.b <= self.a <= 2
 
     @property
-    def z(self) -> int:
-        """Class index: factors with equal a-2b mod 3 form a complementary pair."""
-        return (self.a - 2 * self.b) % 3
-
-    @property
-    def in_j(self) -> bool:
-        """True for the J-side of the class pair (the side with b > 0)."""
-        return self.b > 0
+    def coeffs(self) -> tuple[int, int, int]:
+        """Coefficients of (1, b(3^u), b(2*3^u)); zero for an inadmissible pair."""
+        return _FACTOR_COEFFS.get((self.a, self.b), (0, 0, 0))
 
 
 def _require_char3(ctx: AlgebraContext) -> None:
@@ -71,24 +71,28 @@ _FACTOR_COEFFS = {
 }
 
 
+def _element(ctx: AlgebraContext, u: int, coeffs: tuple[int, int, int]) -> AlgebraElement:
+    """The factor at position u with the given coefficients, truncated."""
+    out = [0] * ctx.dim
+    for index, c in zip((0, 3**u, 2 * 3**u), coeffs):
+        if index <= ctx.lambda2:
+            out[index] = c
+    return AlgebraElement(ctx, tuple(out))
+
+
 def factor_element(ctx: AlgebraContext, u: int, kind: Factor) -> AlgebraElement:
     """The algebra element assigned to factor u, truncated to the context."""
     _require_char3(ctx)
-    coeffs = [0] * ctx.dim
-    entry = _FACTOR_COEFFS.get((kind.a, kind.b))
-    if entry:
-        for index, c in zip((0, 3**u, 2 * 3**u), entry):
-            if index <= ctx.lambda2:
-                coeffs[index] = c
-    return AlgebraElement(ctx, tuple(coeffs))
+    return _element(ctx, u, kind.coeffs)
 
 
 def _factor_at(pairs: list[tuple[int, int]], u: int) -> Factor:
     return Factor(*pairs[u]) if u < len(pairs) else Factor(0, 0)
 
 
-def _factors(ctx: AlgebraContext, g: int, count: int | None = None):
-    """The factor elements of the idempotent for (ctx.m, g), for u = 0, 1, ...
+def _factor_coeffs(ctx: AlgebraContext, g: int, count: int | None = None):
+    """The coefficient triple of each factor of the idempotent for (ctx.m, g),
+    for u = 0, 1, ...
 
     By default the factors run over every digit of m+2g and every u with
     3^u <= lambda2: factors beyond the digit length are (0,0)-type, and
@@ -102,7 +106,25 @@ def _factors(ctx: AlgebraContext, g: int, count: int | None = None):
         while 3**count <= ctx.lambda2:
             count += 1
     for u in range(count):
-        yield factor_element(ctx, u, _factor_at(pairs, u))
+        yield _factor_at(pairs, u).coeffs
+
+
+def _expand(ctx: AlgebraContext, factors) -> AlgebraElement:
+    """The product of the digit factors with the given coefficient triples,
+    taken in order u = 0, 1, ..., by the digit-disjoint rule.
+
+    Before position u the vector holds the coefficients of b(0..3^u - 1), cut
+    to lambda2 + 1 entries; factor u moves the coefficient at n to each
+    d*3^u + n, scaled by its d-th coefficient.  A factor with 3^u > lambda2
+    keeps only its constant term.
+    """
+    vec = [1]
+    for u, (c0, c1, c2) in enumerate(factors):
+        if 3**u <= ctx.lambda2:
+            vec = [c * x % 3 for c in (c0, c1, c2) for x in vec][: ctx.dim]
+        else:
+            vec = [c0 * x % 3 for x in vec]
+    return AlgebraElement(ctx, tuple(vec) + (0,) * (ctx.dim - len(vec)))
 
 
 def build(ctx: AlgebraContext, g: int) -> AlgebraElement:
@@ -114,7 +136,7 @@ def build(ctx: AlgebraContext, g: int) -> AlgebraElement:
     _require_char3(ctx)
     if big_b(ctx.m, g, 3) == 0:
         return ctx.zero()
-    return reduce(operator.mul, _factors(ctx, g), ctx.one())
+    return _expand(ctx, _factor_coeffs(ctx, g))
 
 
 def build_prefix(
@@ -124,13 +146,17 @@ def build_prefix(
 
     The exclusive prefix at t = 0 is the empty product, i.e. the identity.
     """
-    return reduce(operator.mul, _factors(ctx, g, t + 1 if inclusive else t), ctx.one())
+    return _expand(ctx, _factor_coeffs(ctx, g, t + 1 if inclusive else t))
 
 
 def factor_sequence_text(ctx: AlgebraContext, g: int) -> str:
     """The non-trivial factors after truncation, e.g. '(b(1) - b(2))(-b(9))'."""
     one = ctx.one()
-    parts = [f"({elem})" for elem in _factors(ctx, g) if elem != one]
+    parts = []
+    for u, coeffs in enumerate(_factor_coeffs(ctx, g)):
+        elem = _element(ctx, u, coeffs)
+        if elem != one:
+            parts.append(f"({elem})")
     return "".join(parts) if parts else "1"
 
 

@@ -316,6 +316,8 @@ def divided_e(r: int, lam: tuple[int, int], i: int) -> OperatorMatrix:
     if i < 0:
         raise ValueError(f"divided power index i={i} must be non-negative")
     lam = tuple(lam)
+    if lam[0] + lam[1] != r:
+        raise ValueError(f"weight {lam} does not sum to r={r}")
     cod = (lam[0] + i, lam[1] - i)
     mat = np.zeros((_weight_dim(r, cod), comb(r, lam[1])), dtype=np.int8)
     if mat.shape[0]:

@@ -39,8 +39,9 @@ def test_criterion_1_worked_example():
         and factor_sequence_text(ctx, 13) == "(b(1) - b(2))(b(3) - b(6))(-b(9))"
         and big_b(23, 13, 3) == 2
     )
-    # steady-state timing: the context's structure tensor is warm after the
-    # first build, which is the amortized regime the budget describes
+    # steady-state timing: best of five repeated builds, after the first one
+    # above has paid the interpreter's one-time costs (build expands the
+    # digit factors and reads no structure constants)
     best = float("inf")
     for _ in range(5):
         t0 = time.perf_counter()

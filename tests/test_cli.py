@@ -7,6 +7,8 @@ import json
 import pytest
 
 from tworow.cli import main
+from tworow.decompose import partitions_up_to
+from tworow.padic import big_b
 
 
 def run(capsys, *argv):
@@ -89,6 +91,37 @@ class TestVerifyCommand:
         monkeypatch.setenv("SCHUR_JOBS", "2")
         code, out = run(capsys, "verify", "--max-r", "8")
         assert code == 0 and "PASS" in out
+
+    @staticmethod
+    def corrupt_g1(monkeypatch):
+        # e(g=1) gains the identity, so every partition with a g=1 summand fails
+        import tworow.decompose as decompose
+
+        build = decompose.build
+        monkeypatch.setattr(
+            decompose, "build",
+            lambda ctx, g: build(ctx, g) + ctx.one() if g == 1 else build(ctx, g),
+        )
+
+    def test_every_failing_partition_is_named(self, capsys, monkeypatch):
+        self.corrupt_g1(monkeypatch)
+        code, out = run(capsys, "verify", "--max-r", "6")
+        assert code == 1
+        failing = [(l1, l2) for l1, l2 in partitions_up_to(6) if l2 >= 1 and big_b(l1 - l2, 1, 3)]
+        assert len(failing) == 6
+        assert "FAIL: 6 partitions failed:\n" in out
+        for lam in failing:
+            assert f"lambda={lam}:\n  " in out
+        assert out.count("lambda=") == 6 and "PASS" not in out
+
+    def test_failing_partitions_beyond_the_bound_are_counted(self, capsys, monkeypatch):
+        self.corrupt_g1(monkeypatch)
+        code, out = run(capsys, "verify", "--max-r", "12")
+        failing = [(l1, l2) for l1, l2 in partitions_up_to(12) if l2 >= 1 and big_b(l1 - l2, 1, 3)]
+        assert code == 1 and len(failing) > 10
+        assert f"FAIL: {len(failing)} partitions failed; the first 10:" in out
+        assert out.count("lambda=") == 10
+        assert f"lambda={failing[9]}:" in out and f"lambda={failing[10]}:" not in out
 
 
 class TestKostkaTable:

@@ -1,8 +1,12 @@
 """The factor table, idempotent products, psi, and the closed-form squares."""
 
-import pytest
+from functools import reduce
 
-from tworow.algebra import AlgebraContext
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tworow.algebra import AlgebraContext, mul
 from tworow.errors import UnsupportedCharacteristicError
 from tworow.idempotents import (
     Factor,
@@ -14,7 +18,7 @@ from tworow.idempotents import (
     psi_recursion_check,
     square_closed_form,
 )
-from tworow.padic import big_b, carry_sequence, factor_digits
+from tworow.padic import big_b, carry_sequence, digits, factor_digits
 
 ADMISSIBLE = [(0, 0), (2, 1), (1, 0), (2, 2), (2, 0), (1, 1)]
 
@@ -44,11 +48,10 @@ class TestFactor:
         # and one J-side (b>0) factor
         by_class = {}
         for a, b in ADMISSIBLE:
-            f = Factor(a, b)
-            by_class.setdefault(f.z, []).append(f)
+            by_class.setdefault((a - 2 * b) % 3, []).append(b > 0)
         assert set(by_class) == {0, 1, 2}
-        for members in by_class.values():
-            assert sorted(f.in_j for f in members) == [False, True]
+        for sides in by_class.values():
+            assert sorted(sides) == [False, True]
 
     def test_digit_pairs_and_validity(self):
         pairs = factor_digits(23, 13, 3)
@@ -126,6 +129,67 @@ class TestBuild:
     def test_factor_sequence_text(self):
         assert factor_sequence_text(ctx3(36, 13), 13) == "(b(1) - b(2))(b(3) - b(6))(-b(9))"
         assert factor_sequence_text(ctx3(5, 0), 0) == "1"
+
+
+def product_of_factors(ctx, g, count=None):
+    """The idempotent as the paper writes it: the product, through mul, of
+    one factor per digit of m+2g and per u with 3^u <= lambda2 (or of the
+    first `count` factors)."""
+    pairs = factor_digits(ctx.m, g, 3)
+    if count is None:
+        count = len(pairs)
+        while 3**count <= ctx.lambda2:
+            count += 1
+    kinds = [Factor(*pairs[u]) if u < len(pairs) else Factor(0, 0) for u in range(count)]
+    return reduce(mul, [factor_element(ctx, u, kind) for u, kind in enumerate(kinds)], ctx.one())
+
+
+def digit_disjoint(i, j, p):
+    di, dj = digits(i, p), digits(j, p)
+    return all(di[u] == 0 or dj[u] == 0 for u in range(max(len(di), len(dj))))
+
+
+class TestExpansion:
+    """build and build_prefix expand the factors without multiplying them;
+    these compare the expansion with the product of the factors."""
+
+    def test_build_is_the_product_for_every_small_partition(self):
+        for r in range(61):
+            for l2 in range(r // 2 + 1):
+                ctx = ctx3(r - l2, l2)
+                for g in range(l2 + 1):
+                    assert build(ctx, g) == product_of_factors(ctx, g), (r - l2, l2, g)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(3**10, 10**12),
+        st.integers(0, 300),
+        st.integers(0, 300),
+    )
+    def test_build_is_the_product_at_large_m(self, m, l2, g):
+        ctx = ctx3(m + l2, l2)
+        g = g % (l2 + 1)
+        assert build(ctx, g) == product_of_factors(ctx, g)
+
+    def test_prefix_is_the_product(self):
+        for r in range(31):
+            for l2 in range(r // 2 + 1):
+                ctx = ctx3(r - l2, l2)
+                for g in range(l2 + 1):
+                    for t in range(4):
+                        for inclusive in (True, False):
+                            want = product_of_factors(ctx, g, t + 1 if inclusive else t)
+                            got = build_prefix(ctx, g, t, inclusive)
+                            assert got == want, (r - l2, l2, g, t, inclusive)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_digit_disjoint_basis_elements_multiply_by_addition(self, p):
+        for m in (0, 1, 5, 3**10 + 7):
+            ctx = AlgebraContext(m + 120, 120, p)
+            for i in range(61):
+                for j in range(61):
+                    if digit_disjoint(i, j, p):
+                        assert ctx.basis(i) * ctx.basis(j) == ctx.basis(i + j), (m, i, j)
 
 
 class TestBuildPrefix:

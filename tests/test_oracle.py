@@ -105,6 +105,17 @@ class TestDividedPowers:
             with pytest.raises(ValueError, match="i=-1"):
                 op(4, (2, 2), -1)
 
+    def test_weight_must_sum_to_r(self):
+        with pytest.raises(ValueError, match=r"weight \(5, 1\) does not sum to r=3"):
+            divided_e(3, (5, 1), 1)
+        with pytest.raises(ValueError, match="does not sum to r=3"):
+            divided_f(3, (5, 1), 1)
+
+    def test_empty_codomain_shapes_still_accepted(self):
+        # divided_f passes the negative part -1 to divided_e: no subsets, no error
+        assert divided_f(3, (1, 2), 2).mat.shape == (0, 3)
+        assert divided_e(3, (1, 2), 3).mat.shape == (0, 3)
+
     def test_iterated_single_step_is_factorial_multiple(self):
         # composing i single raisings equals i! times the i-th divided power
         from math import factorial
@@ -121,6 +132,16 @@ class TestDividedPowers:
 
 
 class TestRealizeB:
+    def test_identity_on_a_slice_that_does_not_exist(self):
+        # (5, 1) is not a weight of r = 3; b(0) would be a 3x3 zero matrix
+        with pytest.raises(ValueError, match=r"weight \(5, 1\)"):
+            realize_b(3, (5, 1), 0)
+
+    def test_short_weight_is_rejected(self):
+        # (1, 1) sums to 2, not 4; b(1) would be a 4x4 zero matrix
+        with pytest.raises(ValueError, match=r"weight \(1, 1\)"):
+            realize_b(4, (1, 1), 1)
+
     def test_rank_one_example(self):
         assert realize_b(2, (1, 1), 1).mat.tolist() == [[1, 1], [1, 1]]
 
