@@ -4,15 +4,24 @@ The summands of the module for lambda are labelled by mu = (lambda1+g,
 lambda2-g) for exactly those g <= lambda2 with C(m+2g, g) != 0 mod 3, each
 with multiplicity one, and the idempotent built for (m, g) projects onto the
 mu summand.
+
+The characters chi_k(b(i)) = C(k,i) C(m+k+i, i), k = 0..lambda2, are ring
+maps of the algebra over Z; their table is triangular with non-zero diagonal,
+so the algebra sits inside Z^(lambda2+1), and by lying-over every maximal
+ideal mod 3 is the kernel of some chi_k mod 3.  Hence an idempotent is zero
+exactly when every chi_k kills it, and the characters certify orthogonality,
+primitivity and the labels without multiplying idempotents pairwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .algebra import AlgebraContext, AlgebraElement
 from .idempotents import _require_char3, build
-from .padic import big_b
+from .padic import big_b, digits
 
 __all__ = [
     "SummandRecord",
@@ -20,6 +29,8 @@ __all__ = [
     "summands",
     "kostka",
     "verify_complete_set",
+    "character_table",
+    "character_certificate",
     "two_row_partitions",
     "partitions_up_to",
 ]
@@ -105,12 +116,89 @@ class VerificationReport:
         }
 
 
-def verify_complete_set(ctx: AlgebraContext) -> VerificationReport:
-    """Check that the constructed idempotents are a complete orthogonal set.
+# C(a, b) mod 3 for base-3 digits: row a, column b.
+_BINOM3 = np.array([[1, 0, 0], [1, 1, 0], [1, 2, 1]], dtype=np.int8)
 
-    Verifies e^2 = e for each, pairwise products zero, sum equal to the
-    identity, and the count identity that certifies primitivity (nonzero
-    orthogonal idempotents summing to 1, as many as there are summands).
+
+def character_table(m: int, lambda2: int) -> np.ndarray:
+    """X[k, i] = chi_k(b(i)) = C(k, i) C(m+k+i, i) mod 3 for k, i <= lambda2,
+    as an int8 lower-triangular matrix.
+
+    Both binomials are Lucas products over the base-3 positions u of i.  As
+    i < 3^width, only the low `width` digits of m+k+i matter, and they depend
+    on k+i alone: each position looks up 1-D rows of digits of k, i and
+    m + (k+i), never an index grid.
+    """
+    n = lambda2 + 1
+    width = len(digits(lambda2, 3))
+    powers = 3 ** np.arange(width)[:, None]
+    low_digits = np.arange(n) // powers % 3
+    sum_digits = (m % 3**width + np.arange(2 * n - 1)) // powers % 3
+    table = np.ones((n, n), dtype=np.int8)
+    for low, total in zip(low_digits, sum_digits):
+        by_digit = _BINOM3[:, low]  # [a, i] = C(a, i_u)
+        # by_sum[k + i, i] = C((m+k+i)_u, i_u), read at [k, i] through a
+        # sheared view: a step in k is one row, a step in i a row and a column
+        by_sum = by_digit[total]
+        row, col = by_sum.strides
+        table *= by_digit[low]
+        table *= np.ndarray((n, n), np.int8, by_sum, strides=(row, row + col))
+        table %= 3
+    return table
+
+
+def character_certificate(
+    ctx: AlgebraContext, records: list[SummandRecord], squares_ok: bool
+) -> tuple[list[str], list[str]]:
+    """The orthogonality and the count/label failures of `records`, read off
+    V = X E mod 3, where X is the character table and column g of E is e(g).
+
+    With every e(g) idempotent, each chi_k(e(g)) is 0 or 1, and the support
+    S_g of column g meets S_h exactly when e(g)e(h) != 0, so orthogonality is
+    at most one 1 per row (a row without one has chi_k(sum) = 0, which the
+    sum check catches).  There are as many primitive idempotents as maximal
+    ideals, i.e. as distinct rows of X.  chi_k is the character of the Specht
+    factor (lambda1+k, lambda2-k), and the least dominant factor of the Young
+    module Y^mu is mu itself, so the label of e(g) is min S_g.
+    """
+    table = character_table(ctx.m, ctx.lambda2)
+    coeffs = np.array([rec.idempotent.coeffs for rec in records], dtype=np.int32)
+    # entries of X and E are at most 2, so each int32 sum is at most 4(lambda2+1)
+    values = table @ coeffs.T % 3
+
+    orthogonal = []
+    if not squares_ok:
+        orthogonal.append("orthogonality not certified: an e(g) is not idempotent")
+    elif values.max() > 1:
+        orthogonal.append("a character takes the value 2 on an idempotent")
+    else:
+        # more than one 1 in a row: those idempotents share a character
+        shared = values[values.sum(axis=1) > 1]
+        for a, b in zip(*np.nonzero(np.triu(shared.T @ shared, 1))):
+            orthogonal.append(f"e(g={records[a].g})*e(g={records[b].g}) != 0")
+
+    count = []
+    nonzero = values.any(axis=0)
+    if len(set(map(bytes, table))) != len(records) or not nonzero.all():
+        count.append("summand count / nonzero-idempotent mismatch")
+    lowest = (values != 0).argmax(axis=0)
+    for rec, k, seen in zip(records, lowest.tolist(), nonzero.tolist()):
+        if seen and k != rec.g:
+            count.append(f"e(g={rec.g}) has lowest character chi_{k}, not chi_{rec.g}")
+    return orthogonal, count
+
+
+def verify_complete_set(ctx: AlgebraContext) -> VerificationReport:
+    """Check that the constructed idempotents are a complete set of primitive
+    orthogonal idempotents, each with its Young-module label.
+
+    Checks e^2 = e for each and that the sum is the identity by algebra
+    products.  Orthogonality, the count that certifies primitivity, and the
+    labels come from `character_certificate`: the mod-3 characters chi_k
+    detect every non-zero idempotent, since every maximal ideal is a ker
+    chi_k by lying-over, and there are as many primitive idempotents as
+    distinct characters.  Without every square the certificate cannot decide
+    orthogonality, and `orthogonal` fails.
     """
     _require_char3(ctx)
     records = summands(ctx)
@@ -123,12 +211,8 @@ def verify_complete_set(ctx: AlgebraContext) -> VerificationReport:
             idem_ok = False
             failures.append(f"e(g={rec.g}) is not idempotent")
 
-    orth_ok = True
-    for i, ra in enumerate(records):
-        for rb in records[i + 1 :]:
-            if not (ra.idempotent * rb.idempotent).is_zero():
-                orth_ok = False
-                failures.append(f"e(g={ra.g})*e(g={rb.g}) != 0")
+    orthogonal, count = character_certificate(ctx, records, idem_ok)
+    failures.extend(orthogonal)
 
     total = ctx.zero()
     for rec in records:
@@ -136,22 +220,16 @@ def verify_complete_set(ctx: AlgebraContext) -> VerificationReport:
     sum_ok = total == ctx.one()
     if not sum_ok:
         failures.append("sum of idempotents != 1")
-
-    expected = sum(1 for g in range(ctx.lambda2 + 1) if big_b(ctx.m, g, 3))
-    count_ok = len(records) == expected and all(
-        not rec.idempotent.is_zero() for rec in records
-    )
-    if not count_ok:
-        failures.append("summand count / nonzero-idempotent mismatch")
+    failures.extend(count)
 
     return VerificationReport(
         context=ctx,
         records=records,
         checks={
             "idempotent": idem_ok,
-            "orthogonal": orth_ok,
+            "orthogonal": not orthogonal,
             "sum_to_one": sum_ok,
-            "count_match": count_ok,
+            "count_match": not count,
         },
         failures=failures,
     )

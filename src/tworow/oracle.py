@@ -311,13 +311,20 @@ class OperatorMatrix:
         }
 
 
+def _require_weight(r: int, lam) -> tuple[int, int]:
+    """lam as a tuple, when its parts sum to r; a part may be negative, which
+    addresses an empty slice."""
+    lam = tuple(lam)
+    if lam[0] + lam[1] != r:
+        raise ValueError(f"weight {lam} does not sum to r={r}")
+    return lam
+
+
 def divided_e(r: int, lam: tuple[int, int], i: int) -> OperatorMatrix:
     """i-th divided power of the raising operator on the weight-lam slice."""
     if i < 0:
         raise ValueError(f"divided power index i={i} must be non-negative")
-    lam = tuple(lam)
-    if lam[0] + lam[1] != r:
-        raise ValueError(f"weight {lam} does not sum to r={r}")
+    lam = _require_weight(r, lam)
     cod = (lam[0] + i, lam[1] - i)
     mat = np.zeros((_weight_dim(r, cod), comb(r, lam[1])), dtype=np.int8)
     if mat.shape[0]:
@@ -333,7 +340,7 @@ def divided_f(r: int, lam: tuple[int, int], i: int) -> OperatorMatrix:
     emptying i positions of T reaches S, so on 0/1 incidence matrices the
     lowering operator is the transpose of the raising one out of the target.
     """
-    lam = tuple(lam)
+    lam = _require_weight(r, lam)
     up = divided_e(r, (lam[0] - i, lam[1] + i), i)
     return OperatorMatrix(up.codomain, up.domain, up.mat.T)
 

@@ -3,10 +3,15 @@
 import json
 from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tworow.decompose as decompose
 from tworow.algebra import AlgebraContext
 from tworow.decompose import (
+    character_table,
     kostka,
     partitions_up_to,
     summands,
@@ -14,6 +19,7 @@ from tworow.decompose import (
     verify_complete_set,
 )
 from tworow.errors import UnsupportedCharacteristicError
+from tworow.padic import big_b
 
 
 def ctx3(l1, l2):
@@ -136,6 +142,118 @@ class TestVerifyCompleteSet:
         for rec in data["summands"]:
             assert set(rec) == {"g", "mu", "B", "idempotent"}
             assert len(rec["idempotent"]) == 4
+
+
+def mutated_build(monkeypatch, change):
+    """Make summands() build its idempotents through change(ctx, g, e)."""
+    original = decompose.build
+    monkeypatch.setattr(
+        decompose, "build", lambda ctx, g: change(ctx, g, original(ctx, g))
+    )
+
+
+def labels(ctx):
+    return [g for g in range(ctx.lambda2 + 1) if big_b(ctx.m, g, 3)]
+
+
+MUTATED = [ctx3(lam[0], lam[1]) for lam in partitions_up_to(24)]
+
+
+class TestCharacterCertificate:
+    """The certificate against the direct pairwise products it replaced."""
+
+    def test_direct_products_vanish_and_certificate_agrees(self):
+        for lam in partitions_up_to(60):
+            ctx = ctx3(lam[0], lam[1])
+            report = verify_complete_set(ctx)
+            assert report.checks["orthogonal"], (lam, report.failures)
+            idems = [rec.idempotent for rec in report.records]
+            for a, ea in enumerate(idems):
+                for eb in idems[a + 1 :]:
+                    assert (ea * eb).is_zero(), lam
+
+    def test_repeated_idempotent_is_not_orthogonal(self, monkeypatch):
+        # e(g0) also returned for g1: every square still passes
+        for ctx in MUTATED:
+            gs = labels(ctx)
+            for g0 in gs:
+                for g1 in gs:
+                    if g0 == g1:
+                        continue
+                    monkeypatch.undo()
+                    e0 = decompose.build(ctx, g0)
+                    mutated_build(monkeypatch, lambda c, g, e: e0 if g == g1 else e)
+                    report = verify_complete_set(ctx)
+                    assert report.checks["idempotent"]
+                    assert not report.checks["orthogonal"]
+                    low, high = sorted((g0, g1))
+                    assert f"e(g={low})*e(g={high}) != 0" in report.failures
+
+    def test_dropped_summand_fails(self, monkeypatch):
+        for ctx in MUTATED:
+            for dropped in labels(ctx):
+                monkeypatch.undo()
+                mutated_build(
+                    monkeypatch, lambda c, g, e: c.zero() if g == dropped else e
+                )
+                checks = verify_complete_set(ctx).checks
+                assert not (checks["count_match"] and checks["sum_to_one"]), ctx
+
+    def test_swapped_labels_fail_count_match(self, monkeypatch):
+        # orthogonal, summing to 1, as many as the characters: only the
+        # labels are wrong, which the products could not see
+        ctx = ctx3(36, 13)
+        e0, e13 = decompose.build(ctx, 0), decompose.build(ctx, 13)
+        swap = {0: e13, 13: e0}
+        mutated_build(monkeypatch, lambda c, g, e: swap.get(g, e))
+        report = verify_complete_set(ctx)
+        assert report.checks == {
+            "idempotent": True,
+            "orthogonal": True,
+            "sum_to_one": True,
+            "count_match": False,
+        }
+        assert "e(g=0) has lowest character chi_13, not chi_0" in report.failures
+
+    def test_failed_square_leaves_orthogonality_undecided(self, monkeypatch):
+        ctx = ctx3(36, 13)
+        mutated_build(monkeypatch, lambda c, g, e: e.scale(2) if g == 13 else e)
+        report = verify_complete_set(ctx)
+        assert not report.checks["idempotent"]
+        assert not report.checks["orthogonal"]
+        assert [line for line in report.failures if "orthogonal" in line] == [
+            "orthogonality not certified: an e(g) is not idempotent"
+        ]
+        assert not any("!= 0" in line for line in report.failures)
+
+
+class TestCharacterTable:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10**12), st.integers(0, 60))
+    def test_matches_defining_formula(self, m, lambda2):
+        table = character_table(m, lambda2)
+        assert table.shape == (lambda2 + 1, lambda2 + 1)
+        assert table.dtype == np.int8
+        expected = [
+            [comb(k, i) * comb(m + k + i, i) % 3 for i in range(lambda2 + 1)]
+            for k in range(lambda2 + 1)
+        ]
+        assert table.tolist() == expected
+        assert np.diagonal(table).tolist() == [
+            big_b(m, k, 3) for k in range(lambda2 + 1)
+        ]
+        assert not np.triu(table, 1).any()
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10**12), st.integers(0, 30), st.data())
+    def test_rows_are_ring_maps(self, m, lambda2, data):
+        # chi_k(b(i)b(j)) = chi_k(b(i)) chi_k(b(j)) through the algebra's mul
+        ctx = ctx3(m + lambda2, lambda2)
+        i = data.draw(st.integers(0, lambda2))
+        j = data.draw(st.integers(0, lambda2))
+        table = character_table(m, lambda2).astype(np.int64)
+        product = np.array((ctx.basis(i) * ctx.basis(j)).coeffs)
+        assert (table @ product % 3).tolist() == (table[:, i] * table[:, j] % 3).tolist()
 
 
 class TestPartitionHelpers:

@@ -111,6 +111,12 @@ class TestDividedPowers:
         with pytest.raises(ValueError, match="does not sum to r=3"):
             divided_f(3, (5, 1), 1)
 
+    def test_lowering_names_the_weight_it_was_given(self):
+        with pytest.raises(ValueError, match=r"weight \(5, 1\) does not sum to r=3"):
+            divided_f(3, (5, 1), 1)
+        with pytest.raises(ValueError, match=r"weight \(2, 2\) does not sum to r=3"):
+            divided_f(3, [2, 2], 0)
+
     def test_empty_codomain_shapes_still_accepted(self):
         # divided_f passes the negative part -1 to divided_e: no subsets, no error
         assert divided_f(3, (1, 2), 2).mat.shape == (0, 3)
