@@ -21,7 +21,7 @@ from math import comb
 
 from .algebra import AlgebraContext, AlgebraElement
 from .errors import UnsupportedCharacteristicError
-from .padic import big_b, digits, factor_digits, truncate_below, lucas_binom
+from .padic import digits, factor_digits, truncate_below, lucas_binom
 
 __all__ = [
     "Factor",
@@ -131,11 +131,14 @@ def build(ctx: AlgebraContext, g: int) -> AlgebraElement:
     """The idempotent for (ctx.m, g), or zero when it degenerates.
 
     Zero is returned (not raised) when C(m+2g, g) = 0 mod 3 or g > lambda2,
-    matching the convention that such elements vanish.
+    matching the convention that such elements vanish.  Neither case needs a
+    check of its own: by Lucas's theorem the first holds exactly when some
+    digit pair is inadmissible, whose factor is zero, and in the second the
+    product's lowest term b(g) lies past the truncation.
     """
     _require_char3(ctx)
-    if big_b(ctx.m, g, 3) == 0:
-        return ctx.zero()
+    if g < 0:
+        raise ValueError(f"g={g} must be non-negative")
     return _expand(ctx, _factor_coeffs(ctx, g))
 
 

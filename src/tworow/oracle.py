@@ -11,7 +11,9 @@ realized as E^(i)^T E^(i), an explicit matrix mod 3 against which the
 abstract algebra is checked.
 
 Basis subsets are ordered colexicographically, so matrices are reproducible
-byte for byte.
+byte for byte.  A weight vector is a dense array of residues mod 3 in that
+order, and the column-adding map j is defined once, by the colex ranks of the
+shifted subsets, for `j_map`, `j_matrix` and the equivariance check to read.
 
 The cross-validation sweeps form no matrices.  Every realized b(i) commutes
 with the place permutations, and M^lambda is generated by the basis vector
@@ -25,10 +27,11 @@ generators (1 2) and (1 2 ... r) of the symmetric group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
+from types import MappingProxyType
 
 import numpy as np
 
@@ -38,22 +41,10 @@ from .errors import ContextMismatchError
 from .idempotents import build
 
 __all__ = [
-    "WeightVector",
-    "OperatorMatrix",
-    "divided_e",
-    "divided_f",
-    "realize_b",
-    "element_matrix",
-    "apply_element",
-    "specht_generator",
-    "j_map",
-    "j_matrix",
-    "OracleReport",
-    "cross_validate",
-    "check_basis_products",
-    "check_idempotent_matrices",
-    "check_j_commutation",
-    "check_specht_labels",
+    "WeightVector", "OperatorMatrix", "divided_e", "divided_f", "realize_b",
+    "element_matrix", "apply_element", "specht_generator", "j_map", "j_matrix",
+    "OracleReport", "cross_validate", "check_basis_products",
+    "check_idempotent_matrices", "check_j_commutation", "check_specht_labels",
 ]
 
 # A weight slice is addressed by (r, (w1, w2)).
@@ -83,22 +74,6 @@ def _combos(r: int, k: int) -> np.ndarray:
     out[_colex_rank(r, lex)] = lex
     out.flags.writeable = False
     return out
-
-
-@lru_cache(maxsize=None)
-def _subsets(r: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """k-subsets of {1..r} in colexicographic order."""
-    return tuple(map(tuple, (_combos(r, k) + 1).tolist()))
-
-
-@lru_cache(maxsize=None)
-def _subset_index(r: int, k: int) -> dict[frozenset, int]:
-    return {frozenset(s): i for i, s in enumerate(_subsets(r, k))}
-
-
-@lru_cache(maxsize=None)
-def _positions(r: int) -> frozenset:
-    return frozenset(range(1, r + 1))
 
 
 def _weight_dim(r: int, weight: tuple[int, int]) -> int:
@@ -144,9 +119,7 @@ def _images(r: int, k: int, block: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _generator_images(r: int, k: int) -> np.ndarray:
     """Columns b(h)·e_S0 for h = 0..k, where S0 = {1..k} has colex index 0."""
-    e0 = np.zeros((comb(r, k), 1), dtype=np.int64)
-    e0[0] = 1
-    out = _images(r, k, e0)[:, :, 0].T
+    out = _images(r, k, np.eye(comb(r, k), 1, dtype=np.int64))[:, :, 0].T
     out.flags.writeable = False
     return out
 
@@ -205,79 +178,87 @@ def _equivariance_failures(lam: tuple[int, int]) -> list[str]:
     ]
 
 
+@lru_cache(maxsize=None)
 def _j_incidence(r: int, lam: tuple[int, int]):
-    """Entries (rows, cols, vals) of j on the weight-lam slice, read off j_map."""
-    index = _subset_index(r + 2, lam[1] + 1)
-    rows, cols, vals = [], [], []
-    for col, s in enumerate(_subsets(r, lam[1])):
-        for t, c in j_map(WeightVector.basis(r, lam, s)).coeffs.items():
-            rows.append(index[t])
-            cols.append(col)
-            vals.append(c)
-    return tuple(np.array(a, dtype=np.int64) for a in (rows, cols, vals))
+    """Entries of j on the weight-lam slice, as the rows (rows, cols, vals) of
+    one array: the subset of column `col` shifts by two and gains position 2
+    with value 1, or position 1 with value -1 = 2; `rows` holds colex ranks."""
+    shifted = _combos(r, lam[1]) + 2
+    n = len(shifted)
+    rows = [_colex_rank(r + 2, np.insert(shifted, 0, added, axis=1)) for added in (1, 0)]
+    out = np.stack([np.concatenate(rows), np.tile(np.arange(n), 2), np.repeat([1, 2], n)])
+    out.flags.writeable = False
+    return out
 
 
-@dataclass
 class WeightVector:
-    """Element of a weight slice: residues mod 3 keyed by position subsets."""
+    """Element of a weight slice: the read-only int64 array `dense` of residues
+    mod 3 in colex order, built from a dict {frozenset of positions: int} or
+    from an integer array with `dense=`."""
 
-    r: int
-    lam: tuple[int, int]
-    coeffs: dict[frozenset, int]
-
-    def __post_init__(self):
-        self.lam = tuple(self.lam)
-        r, lam = self.r, self.lam
+    def __init__(self, r: int, lam: tuple[int, int], coeffs=None, *, dense=None):
+        lam = tuple(lam)
         if len(lam) != 2 or min(lam) < 0 or sum(lam) != r:
             raise ValueError(f"weight {lam} is not a composition of r={r} into two parts")
-        positions = _positions(r)
-        coeffs = {}
-        for s, c in self.coeffs.items():
-            if not (isinstance(s, frozenset) and len(s) == lam[1] and s <= positions):
-                raise ValueError(f"{s!r} is not a weight-{lam} basis subset of 1..{r}")
-            if c % 3:
-                coeffs[s] = c % 3
-        self.coeffs = coeffs
+        n = comb(r, lam[1])
+        if (coeffs is None) == (dense is None):
+            raise ValueError("give the residues either as a dict or as dense=")
+        if dense is None:
+            positions = frozenset(range(1, r + 1))
+            for s, c in coeffs.items():
+                if not (isinstance(s, frozenset) and len(s) == lam[1] and s <= positions):
+                    raise ValueError(f"{s!r} is not a weight-{lam} basis subset of 1..{r}")
+                if type(c) is not int:
+                    raise ValueError(f"coefficient {c!r} is not an int")
+            keys = np.array([sorted(s) for s in coeffs], dtype=np.int64)
+            dense = np.zeros(n, dtype=np.int64)
+            ranks = _colex_rank(r, keys.reshape(len(coeffs), lam[1]) - 1)
+            dense[ranks] = [c % 3 for c in coeffs.values()]
+        dense = np.asarray(dense)
+        if dense.shape != (n,) or dense.dtype.kind not in "iu":
+            raise ValueError(f"dense residues must be an integer array of shape ({n},)")
+        self.r, self.lam = r, lam
+        self.dense = (dense % 3).astype(np.int64)
+        self.dense.flags.writeable = False
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only view of the non-zero residues, keyed by frozenset of positions."""
+        nz = np.flatnonzero(self.dense)
+        subsets = map(frozenset, (_combos(self.r, self.lam[1])[nz] + 1).tolist())
+        return MappingProxyType(dict(zip(subsets, self.dense[nz].tolist())))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WeightVector):
+            return NotImplemented
+        same_slice = (self.r, self.lam) == (other.r, other.lam)
+        return same_slice and np.array_equal(self.dense, other.dense)
+
+    def __repr__(self) -> str:
+        return f"WeightVector({self.r}, {self.lam}, {dict(self.coeffs)!r})"
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.dense.any()
 
     def scale(self, c: int) -> "WeightVector":
-        return WeightVector(self.r, self.lam, {s: c * v for s, v in self.coeffs.items()})
+        return WeightVector(self.r, self.lam, dense=c % 3 * self.dense)
 
     def __add__(self, other: "WeightVector") -> "WeightVector":
         if (self.r, self.lam) != (other.r, other.lam):
             raise ContextMismatchError("weight vectors live in different slices")
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            out[s] = out.get(s, 0) + c
-        return WeightVector(self.r, self.lam, out)
+        return WeightVector(self.r, self.lam, dense=self.dense + other.dense)
 
     def __sub__(self, other: "WeightVector") -> "WeightVector":
         return self + other.scale(-1)
 
     def transposed(self, a: int, b: int) -> "WeightVector":
-        """Image under the place transposition (a b)."""
-        swap = {a: b, b: a}
-        out = {}
-        for s, c in self.coeffs.items():
-            t = frozenset(swap.get(x, x) for x in s)
-            out[t] = out.get(t, 0) + c
-        return WeightVector(self.r, self.lam, out)
-
-    def to_dense(self) -> np.ndarray:
-        index = _subset_index(self.r, self.lam[1])
-        vec = np.zeros(len(index), dtype=np.int64)
-        for s, c in self.coeffs.items():
-            vec[index[s]] = c
-        return vec
-
-    @staticmethod
-    def from_dense(r: int, lam: tuple[int, int], vec) -> "WeightVector":
-        subsets = _subsets(r, lam[1])
-        return WeightVector(
-            r, lam, {frozenset(s): int(c) for s, c in zip(subsets, vec)}
-        )
+        """Image under the place transposition (a b) of positions in 1..r."""
+        if not (1 <= a <= self.r and 1 <= b <= self.r):
+            raise ValueError(f"({a} {b}) is not a transposition of 1..{self.r}")
+        perm = list(range(self.r))
+        perm[a - 1], perm[b - 1] = b - 1, a - 1
+        moved = _permuted(self.r, self.lam[1], tuple(perm))
+        return WeightVector(self.r, self.lam, dense=self.dense[moved])
 
     @staticmethod
     def basis(r: int, lam: tuple[int, int], positions) -> "WeightVector":
@@ -298,9 +279,7 @@ class OperatorMatrix:
     def apply(self, v: WeightVector) -> WeightVector:
         if (v.r, v.lam) != self.domain:
             raise ContextMismatchError("vector does not live in the operator domain")
-        r, lam = self.codomain
-        out = (self.mat.astype(np.int64) @ v.to_dense()) % 3
-        return WeightVector.from_dense(r, lam, out)
+        return WeightVector(*self.codomain, dense=self.mat.astype(np.int64) @ v.dense)
 
     def to_json(self) -> dict:
         return {
@@ -312,10 +291,10 @@ class OperatorMatrix:
 
 
 def _require_weight(r: int, lam) -> tuple[int, int]:
-    """lam as a tuple, when its parts sum to r; a part may be negative, which
-    addresses an empty slice."""
+    """lam as a tuple, when its two parts sum to r; a part may be negative,
+    which addresses an empty slice."""
     lam = tuple(lam)
-    if lam[0] + lam[1] != r:
+    if len(lam) != 2 or lam[0] + lam[1] != r:
         raise ValueError(f"weight {lam} does not sum to r={r}")
     return lam
 
@@ -345,19 +324,14 @@ def divided_f(r: int, lam: tuple[int, int], i: int) -> OperatorMatrix:
     return OperatorMatrix(up.codomain, up.domain, up.mat.T)
 
 
-@lru_cache(maxsize=None)
-def _realize_b_cached(r: int, lam: tuple[int, int], i: int) -> OperatorMatrix:
+def realize_b(r: int, lam: tuple[int, int], i: int) -> OperatorMatrix:
+    """The canonical basis endomorphism as an explicit weight-space matrix."""
     # b(i) = F^(i) E^(i), and F^(i) out of the raised slice is E^(i) transposed.
     # Inner dimensions at desk scale keep the exact integer products well
     # below 2**53, so BLAS on float64 is exact.
-    up = divided_e(r, lam, i).mat.astype(np.float64)
-    product = (up.T @ up).astype(np.int64) % 3
-    return OperatorMatrix((r, lam), (r, lam), product.astype(np.int8))
-
-
-def realize_b(r: int, lam: tuple[int, int], i: int) -> OperatorMatrix:
-    """The canonical basis endomorphism as an explicit weight-space matrix."""
-    return _realize_b_cached(r, tuple(lam), i)
+    up = divided_e(r, lam, i)
+    mat = up.mat.astype(np.float64)
+    return OperatorMatrix(up.domain, up.domain, (mat.T @ mat % 3).astype(np.int8))
 
 
 def element_matrix(x: AlgebraElement) -> np.ndarray:
@@ -376,20 +350,20 @@ def apply_element(x: AlgebraElement, v: WeightVector) -> WeightVector:
     ctx = x.context
     if ctx.p != 3:
         raise ContextMismatchError("the tensor oracle works mod 3")
-    if v.r != ctx.r or tuple(v.lam) != (ctx.lambda1, ctx.lambda2):
-        raise ContextMismatchError(
-            f"element in {(ctx.lambda1, ctx.lambda2)} applied to vector in {v.lam}"
-        )
-    image = np.tensordot(x.coeffs, _images(v.r, v.lam[1], v.to_dense()[:, None]), 1)
-    return WeightVector.from_dense(v.r, v.lam, image[:, 0] % 3)
+    lam = (ctx.lambda1, ctx.lambda2)
+    if v.lam != lam:
+        raise ContextMismatchError(f"element in {lam} applied to vector in {v.lam}")
+    image = np.tensordot(x.coeffs, _images(v.r, v.lam[1], v.dense[:, None]), 1)
+    return WeightVector(v.r, v.lam, dense=image[:, 0])
 
 
 def specht_generator(r: int, lam: tuple[int, int], mu: tuple[int, int]) -> WeightVector:
     """Polytabloid generating the unique copy of the mu Specht module.
 
     Convention: the mu-tableau has column pairs (2k-1, 2k) for k <= mu2, so
-    positions 2, 4, ..., 2*mu2 are forced to carry the second symbol and the
-    generator is the signed column average of the row-invariant sum.
+    positions 2, 4, ..., 2*mu2 are forced to carry the second symbol, and the
+    generator is the signed column average of the row-invariant sum: the
+    subsets holding all forced positions, 0-based the odd ones below 2*mu2.
     """
     lam, mu = tuple(lam), tuple(mu)
     _require_two_row(lam, mu)
@@ -398,11 +372,9 @@ def specht_generator(r: int, lam: tuple[int, int], mu: tuple[int, int]) -> Weigh
     if mu[1] > lam[1]:
         raise ValueError(f"mu={mu} does not dominate lambda={lam}")
 
-    forced = frozenset(range(2, 2 * mu[1] + 1, 2))
-    free = sorted(set(range(1, r + 1)) - forced)
-    extra = lam[1] - mu[1]
-    omega = {forced | frozenset(chosen): 1 for chosen in combinations(free, extra)}
-    vec = WeightVector(r, lam, omega)
+    combos = _combos(r, lam[1])
+    forced = ((combos % 2 == 1) & (combos < 2 * mu[1])).sum(axis=1)
+    vec = WeightVector(r, lam, dense=(forced == mu[1]).astype(np.int64))
     for k in range(1, mu[1] + 1):
         vec = vec - vec.transposed(2 * k - 1, 2 * k)
     return vec
@@ -414,17 +386,16 @@ def j_map(v: WeightVector) -> WeightVector:
     Sends the slice at (r, lam) to (r+2, lam+(1,1)): every subset shifts by
     two and gains position 2 with sign +, position 1 with sign -.
     """
-    out = {}
-    for s, c in v.coeffs.items():
-        shifted = frozenset(x + 2 for x in s)
-        out[shifted | {2}] = out.get(shifted | {2}, 0) + c
-        out[shifted | {1}] = out.get(shifted | {1}, 0) - c
-    return WeightVector(v.r + 2, (v.lam[0] + 1, v.lam[1] + 1), out)
+    rows, cols, vals = _j_incidence(v.r, v.lam)
+    big = (v.lam[0] + 1, v.lam[1] + 1)
+    out = np.zeros(comb(v.r + 2, big[1]), dtype=np.int64)
+    np.add.at(out, rows, vals * v.dense[cols])
+    return WeightVector(v.r + 2, big, dense=out)
 
 
 def j_matrix(r: int, lam: tuple[int, int]) -> OperatorMatrix:
     """Matrix of the column-adding injection on the weight-lam slice."""
-    lam = tuple(lam)
+    lam = _require_weight(r, lam)
     big = (lam[0] + 1, lam[1] + 1)
     rows, cols, vals = _j_incidence(r, lam)
     mat = np.zeros((_weight_dim(r + 2, big), _weight_dim(r, lam)), dtype=np.int8)
@@ -475,15 +446,12 @@ def check_j_commutation(r_max: int) -> list[str]:
         failures += _equivariance_failures(lam) + _equivariance_failures(big)
         if not _commutes(*_j_incidence(r, lam), (r, k), (r + 2, k + 1)):
             failures.append(f"lambda={lam}: j not equivariant")
-        ctx = AlgebraContext(lam[0], lam[1], 3)
         big_ctx = AlgebraContext(big[0], big[1], 3)
         small = _generator_images(r, k)
-        e0 = WeightVector.basis(r, lam, range(1, k + 1))
-        j0 = j_map(e0).to_dense()[:, None]
+        j0 = j_map(WeightVector.basis(r, lam, range(1, k + 1))).dense[:, None]
         large = _images(r + 2, k + 1, j0)[:, :, 0].T
-        for rec in summands(ctx):
-            image = small @ np.array(rec.idempotent.coeffs) % 3
-            left = j_map(WeightVector.from_dense(r, lam, image)).to_dense()
+        for rec in summands(AlgebraContext(lam[0], lam[1], 3)):
+            left = j_map(WeightVector(r, lam, dense=small @ rec.idempotent.coeffs)).dense
             right = large @ np.array(build(big_ctx, rec.g).coeffs) % 3
             if not np.array_equal(left, right):
                 failures.append(f"lambda={lam}, g={rec.g}: j does not commute")
@@ -498,7 +466,7 @@ def check_specht_labels(r_max: int) -> list[str]:
         ctx = AlgebraContext(lam[0], lam[1], 3)
         recs = summands(ctx)
         gens = [specht_generator(r, lam, rec.mu) for rec in recs]
-        block = np.stack([eps.to_dense() for eps in gens], axis=1)
+        block = np.stack([eps.dense for eps in gens], axis=1)
         images = _images(r, lam[1], block)
         hits = [
             (np.tensordot(other.idempotent.coeffs, images, 1) % 3).any(axis=0)
@@ -530,11 +498,7 @@ class OracleReport:
         return all(self.checks.values())
 
     def to_json(self) -> dict:
-        return {
-            "r_max": self.r_max,
-            "checks": dict(self.checks),
-            "failures": list(self.failures),
-        }
+        return asdict(self)
 
 
 def cross_validate(r_max: int = 8) -> OracleReport:
@@ -545,9 +509,6 @@ def cross_validate(r_max: int = 8) -> OracleReport:
         "j_commutation": check_j_commutation,
         "specht_labels": check_specht_labels,
     }
-    checks, failures = {}, []
-    for name, fn in named.items():
-        found = fn(r_max)
-        checks[name] = not found
-        failures.extend(found)
-    return OracleReport(r_max=r_max, checks=checks, failures=failures)
+    found = {name: fn(r_max) for name, fn in named.items()}
+    checks = {name: not lines for name, lines in found.items()}
+    return OracleReport(r_max, checks, [line for lines in found.values() for line in lines])

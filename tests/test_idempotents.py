@@ -1,5 +1,6 @@
 """The factor table, idempotent products, psi, and the closed-form squares."""
 
+import math
 from functools import reduce
 
 import pytest
@@ -353,3 +354,35 @@ class TestLeadingTerm:
                         assert e.coeffs[g] == big_b(m, g, 3)
                 for g in range(l2 + 1, l2 + 6):
                     assert build(ctx, g).is_zero()
+
+
+class TestZeroWithoutGuard:
+    """build returns zero exactly where C(m+2g, g) = 0 mod 3 or g > lambda2,
+    with no separate test of the binomial: an inadmissible digit pair gives a
+    zero factor, and the product's lowest term is b(g)."""
+
+    @staticmethod
+    def expected_zero(m, l2, g):
+        return g > l2 or math.comb(m + 2 * g, g) % 3 == 0
+
+    def test_every_g_up_to_r_60(self):
+        cases = 0
+        for r in range(61):
+            for l2 in range(r // 2 + 1):
+                ctx = ctx3(r - l2, l2)
+                for g in range(l2 + 3):
+                    zero = self.expected_zero(ctx.m, l2, g)
+                    assert build(ctx, g).is_zero() == zero, (r, l2, g)
+                    cases += 1
+        assert cases == 12338
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**12), st.integers(0, 40), st.data())
+    def test_large_m(self, m, l2, data):
+        g = data.draw(st.integers(0, l2 + 2))
+        ctx = ctx3(m + l2, l2)
+        assert build(ctx, g).is_zero() == self.expected_zero(m, l2, g)
+
+    def test_negative_g_is_named(self):
+        with pytest.raises(ValueError, match="g=-1"):
+            build(ctx3(4, 2), -1)

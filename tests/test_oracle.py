@@ -1,8 +1,10 @@
 """Tensor-space realization checks: divided powers, polytabloids, the j-map."""
 
 import dataclasses
+import hashlib
+import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -30,6 +32,13 @@ from tworow.oracle import (
     realize_b,
     specht_generator,
 )
+
+
+# sha256 of every operator's to_json() and dtype for r <= 9 (see
+# TestByteIdentity), and of cross_validate(12).to_json(), as recorded while
+# weight vectors were still dicts keyed by frozenset.
+OPERATORS_R9_DIGEST = "0fb0fe5ca893aa22b55a8e11e182c546a292002198b50ea1380a0b805939dde4"
+CROSS_VALIDATE_12_DIGEST = "81ecccf8309a78c879be494dc42c2c0ab56463b4edb2d6279638ad48f8be7ede"
 
 
 def vec(wv):
@@ -195,6 +204,113 @@ class TestWeightVector:
             with pytest.raises(ValueError, match="composition"):
                 WeightVector(4, lam, {})
 
+    def test_rejects_a_coefficient_that_is_not_an_int(self):
+        for c in (1.5, 1.0, True, np.int64(1), "1"):
+            with pytest.raises(ValueError, match="coefficient"):
+                WeightVector(4, (2, 2), {frozenset({1, 2}): c})
+
+    def test_dense_rejects_the_wrong_length(self):
+        for shape in (5, 7, (6, 1)):
+            with pytest.raises(ValueError, match=r"shape \(6,\)"):
+                WeightVector(4, (2, 2), dense=np.zeros(shape, dtype=np.int64))
+
+    def test_dense_rejects_a_non_integer_dtype(self):
+        for dtype in (np.float64, bool, object):
+            with pytest.raises(ValueError, match="integer array"):
+                WeightVector(4, (2, 2), dense=np.zeros(6, dtype=dtype))
+
+    def test_dense_reduces_any_integer_dtype(self):
+        for dtype in (np.int8, np.int32, np.uint16):
+            v = WeightVector(2, (1, 1), dense=np.array([4, 5], dtype=dtype))
+            assert v.dense.dtype == np.int64 and v.dense.tolist() == [1, 2]
+
+    def test_takes_exactly_one_source(self):
+        with pytest.raises(ValueError, match="either"):
+            WeightVector(2, (1, 1))
+        with pytest.raises(ValueError, match="either"):
+            WeightVector(2, (1, 1), {}, dense=np.zeros(2, dtype=np.int64))
+
+    def test_views_are_read_only(self):
+        v = WeightVector(2, (1, 1), {frozenset({1}): 1})
+        with pytest.raises(TypeError):
+            v.coeffs[frozenset({2})] = 1
+        with pytest.raises(ValueError):
+            v.dense[1] = 1
+
+    def test_dict_round_trip_keeps_the_nonzero_residues(self):
+        rng = random.Random(15)
+        for r in range(8):
+            for w2 in range(r + 1):
+                lam, subsets = (r - w2, w2), colex(r, w2)
+                raw = {s: rng.randrange(-7, 8) for s in subsets}
+                v = WeightVector(r, lam, raw)
+                assert v.dense.tolist() == [raw[s] % 3 for s in subsets]
+                assert dict(v.coeffs) == {s: c % 3 for s, c in raw.items() if c % 3}
+                assert WeightVector(r, lam, dict(v.coeffs)) == v
+                assert WeightVector(r, lam, dense=v.dense) == v
+
+    def test_transposition_must_move_positions_of_the_slice(self):
+        v = WeightVector(3, (2, 1), {frozenset({1}): 1})
+        for a, b in ((0, 1), (1, 4), (-1, 2)):
+            with pytest.raises(ValueError, match="transposition"):
+                v.transposed(a, b)
+
+
+class TestDefinitions:
+    """The array code against the definitions, written here with frozensets."""
+
+    def test_j_map_shifts_and_adds_a_column(self):
+        # every subset shifts by two and gains {2} with sign +, {1} with sign -
+        rng = random.Random(13)
+        for r in range(9):
+            for w2 in range(r + 1):
+                lam = (r - w2, w2)
+                for _ in range(3):
+                    v = {s: rng.randrange(3) for s in colex(r, w2)}
+                    expected = {}
+                    for s, c in v.items():
+                        shifted = frozenset(x + 2 for x in s)
+                        expected[shifted | {2}] = expected.get(shifted | {2}, 0) + c
+                        expected[shifted | {1}] = expected.get(shifted | {1}, 0) - c
+                    out = j_map(WeightVector(r, lam, v))
+                    assert (out.r, out.lam) == (r + 2, (lam[0] + 1, lam[1] + 1))
+                    assert dict(out.coeffs) == {t: c % 3 for t, c in expected.items() if c % 3}
+
+    def test_transposed_swaps_the_positions_in_each_subset(self):
+        rng = random.Random(14)
+        for r in range(1, 8):
+            for w2 in range(r + 1):
+                v = {s: rng.randrange(1, 3) for s in colex(r, w2)}
+                wv = WeightVector(r, (r - w2, w2), v)
+                for a in range(1, r + 1):
+                    for b in range(1, r + 1):
+                        swap = {a: b, b: a}
+                        moved = {frozenset(swap.get(x, x) for x in s): c for s, c in v.items()}
+                        assert dict(wv.transposed(a, b).coeffs) == moved
+
+    def test_specht_generator_is_the_signed_column_sum(self):
+        # sum over the column group {1, (1 2)} x {1, (3 4)} x ... of the sign
+        # times the image of the sum of the subsets holding 2, 4, ..., 2*mu2
+        for r in range(11):
+            for lam in two_row_partitions(r):
+                for g in range(lam[1] + 1):
+                    mu = (lam[0] + g, lam[1] - g)
+                    forced = frozenset(range(2, 2 * mu[1] + 1, 2))
+                    expected = {}
+                    for s in colex(r, lam[1]):
+                        if not forced <= s:
+                            continue
+                        for flips in product((False, True), repeat=mu[1]):
+                            t, sign = set(s), 1
+                            for k, flip in enumerate(flips, start=1):
+                                if flip:
+                                    swap = {2 * k - 1: 2 * k, 2 * k: 2 * k - 1}
+                                    t, sign = {swap.get(x, x) for x in t}, -sign
+                            key = frozenset(t)
+                            expected[key] = expected.get(key, 0) + sign
+                    residues = {t: c % 3 for t, c in expected.items() if c % 3}
+                    assert dict(specht_generator(r, lam, mu).coeffs) == residues, (lam, mu)
+
 
 class TestKernel:
     """The subset-sum kernel against the dense realized matrices."""
@@ -277,12 +393,16 @@ class TestFaultsAreCaught:
         assert any(line.startswith("lambda=(2, 2), mu=(2, 2)") for line in failures)
 
     def test_skewed_injection_breaks_equivariance(self, monkeypatch):
-        def skewed(v):
-            # forgets the images of subsets holding position 1
-            out = j_map(v)
-            return WeightVector(out.r, out.lam, {t: c for t, c in out.coeffs.items() if 3 not in t})
+        honest = oracle._j_incidence
 
-        monkeypatch.setattr(oracle, "j_map", skewed)
+        def skewed(r, lam):
+            # forgets the images of subsets holding position 1
+            rows, cols, vals = honest(r, lam)
+            subsets = colex(r, lam[1])
+            keep = np.array([1 not in subsets[c] for c in cols], dtype=bool)
+            return rows[keep], cols[keep], vals[keep]
+
+        monkeypatch.setattr(oracle, "_j_incidence", skewed)
         assert "lambda=(3, 2): j not equivariant" in check_j_commutation(5)
 
 
@@ -363,6 +483,11 @@ class TestJMap:
                 r + 2, big_lam, big_mu
             )
 
+    def test_weight_must_be_two_parts_summing_to_r(self):
+        for lam in ((1, 1), (1, 2, 3)):
+            with pytest.raises(ValueError, match="does not sum to r=3"):
+                j_matrix(3, lam)
+
     def test_injective(self):
         for r in range(7):
             for lam in two_row_partitions(r):
@@ -373,22 +498,18 @@ class TestJMap:
         for lam in [(2, 1), (3, 2)]:
             r = sum(lam)
             op = j_matrix(r, lam)
-            from tworow.oracle import _subsets
-
-            for s in _subsets(r, lam[1]):
+            for s in colex(r, lam[1]):
                 v = WeightVector.basis(r, lam, s)
                 assert op.apply(v) == j_map(v)
 
     def test_commutes_with_idempotents_elementwise(self):
-        from tworow.oracle import _subsets
-
         for lam in [(2, 1), (2, 2), (3, 2)]:
             r = sum(lam)
             ctx = AlgebraContext(lam[0], lam[1], 3)
             big_ctx = AlgebraContext(lam[0] + 1, lam[1] + 1, 3)
             for rec in summands(ctx):
                 e_big = build(big_ctx, rec.g)
-                for s in _subsets(r, lam[1]):
+                for s in colex(r, lam[1]):
                     x = WeightVector.basis(r, lam, s)
                     assert j_map(apply_element(rec.idempotent, x)) == apply_element(
                         e_big, j_map(x)
@@ -415,6 +536,8 @@ class TestCrossValidation:
     def test_command_line_scale(self):
         report = cross_validate(12)
         assert report.ok, report.failures
+        text = json.dumps(report.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == CROSS_VALIDATE_12_DIGEST
 
     def test_basis_products_past_the_dense_scale(self):
         assert check_basis_products(14) == []
@@ -457,3 +580,22 @@ class TestMatrixJson:
         assert data["codomain"] == [3, [2, 1]]
         assert data["basis_order"] == "colex"
         assert np.array_equal(np.array(data["rows"]), op.mat)
+
+
+class TestByteIdentity:
+    """Every operator matrix with r <= 9 keeps its JSON and dtype byte for byte."""
+
+    def test_operator_matrices_up_to_r_9(self):
+        digest, count = hashlib.sha256(), 0
+        for r in range(10):
+            for w2 in range(r + 1):
+                lam = (r - w2, w2)
+                ops = [
+                    f(r, lam, i) for i in range(r + 2) for f in (divided_e, divided_f, realize_b)
+                ]
+                for op in [*ops, j_matrix(r, lam)]:
+                    digest.update(json.dumps(op.to_json()).encode())
+                    digest.update(str(op.mat.dtype).encode())
+                    count += 1
+        assert count == 1375
+        assert digest.hexdigest() == OPERATORS_R9_DIGEST
