@@ -15,15 +15,13 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .algebra import AlgebraContext
 from .decompose import (
     kostka,
-    partitions_up_to,
     summands,
     two_row_partitions,
-    verify_complete_set,
+    verify_family,
 )
 from .errors import InvalidPrimeError
 from .idempotents import build, factor_sequence_text
@@ -35,6 +33,8 @@ __all__ = ["main"]
 
 # Failing partitions that `verify` lists in full; the rest are only counted.
 _MAX_REPORTED = 10
+# The largest lambda2 accepted, in a verify sweep too; m is unbounded (README).
+_MAX_LAMBDA2 = 10**4
 
 
 def _partition(text: str) -> tuple[int, int]:
@@ -48,25 +48,28 @@ def _partition(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"({l1},{l2}) is not a partition: need lambda1 >= lambda2 >= 0"
         )
+    if l2 > _MAX_LAMBDA2:
+        raise argparse.ArgumentTypeError(f"lambda2={l2} is above the bound {_MAX_LAMBDA2}")
     return l1, l2
 
 
-def _at_least(low: int):
-    """Argument type: an integer >= low."""
+def _integer(low: int, high: float = float("inf")):
+    """Argument type: an integer in [low, high]."""
     def parse(text: str) -> int:
         try:
-            if int(text) >= low:
+            if low <= int(text) <= high:
                 return int(text)
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        bound = f">= {low}" if high == float("inf") else f"in [{low}, {high}]"
+        raise argparse.ArgumentTypeError(f"expected an integer {bound}, got {text!r}")
 
     return parse
 
 
 def _prime(text: str) -> int:
     try:
-        return _require_prime(_at_least(2)(text))
+        return _require_prime(_integer(2)(text))
     except InvalidPrimeError as err:
         raise argparse.ArgumentTypeError(str(err))
 
@@ -86,23 +89,23 @@ def _build_parser() -> argparse.ArgumentParser:
     idm = sub.add_parser("idempotent", help="print one idempotent e_{m,g}")
     idm.add_argument("--lambda", dest="lam", type=_partition, required=True,
                      metavar="L1,L2")
-    idm.add_argument("--g", type=_at_least(0), required=True)
+    idm.add_argument("--g", type=_integer(0), required=True)
     idm.add_argument("--json", action="store_true")
 
     ver = sub.add_parser("verify", help="complete-set verification sweep")
-    ver.add_argument("--max-r", type=_at_least(0), default=60)
+    ver.add_argument("--max-r", type=_integer(0, 2 * _MAX_LAMBDA2), default=60)
     # A string default goes through `type` too, so a bad SCHUR_JOBS is a
     # usage error of this subcommand alone.
-    ver.add_argument("--jobs", type=_at_least(1),
+    ver.add_argument("--jobs", type=_integer(1),
                      default=os.environ.get("SCHUR_JOBS", "1"),
-                     help="worker processes (default: $SCHUR_JOBS, else 1)")
+                     help="ignored, as is $SCHUR_JOBS: verify runs in one process")
 
     kos = sub.add_parser("kostka-table", help="CSV of two-row p-Kostka numbers")
-    kos.add_argument("--max-r", type=_at_least(0), required=True)
+    kos.add_argument("--max-r", type=_integer(0), required=True)
     kos.add_argument("--p", type=_prime, default=3)
 
     orc = sub.add_parser("oracle-check", help="tensor-space cross-validation")
-    orc.add_argument("--max-r", type=_at_least(0), default=8)
+    orc.add_argument("--max-r", type=_integer(0), default=8)
 
     return parser
 
@@ -151,18 +154,12 @@ def _cmd_idempotent(args) -> int:
     return 0
 
 
-def _verify_one(lam: tuple[int, int]) -> tuple[tuple[int, int], bool, list[str]]:
-    report = verify_complete_set(AlgebraContext(lam[0], lam[1], 3))
-    return lam, report.ok, report.failures
-
-
 def _cmd_verify(args) -> int:
-    lams = partitions_up_to(args.max_r)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_verify_one, lams, chunksize=16))
-    else:
-        results = [_verify_one(lam) for lam in lams]
+    results = []
+    for m in range(args.max_r + 1):
+        for report in verify_family(m, (args.max_r - m) // 2):
+            ctx = report.context
+            results.append(((ctx.lambda1, ctx.lambda2), report.ok, report.failures))
     results.sort(key=lambda item: (sum(item[0]), item[0][1]))
     bad = [item for item in results if not item[1]]
     print(f"verified {len(results)} partitions with r <= {args.max_r}")

@@ -11,6 +11,11 @@ so the algebra sits inside Z^(lambda2+1), and by lying-over every maximal
 ideal mod 3 is the kernel of some chi_k mod 3.  Hence an idempotent is zero
 exactly when every chi_k kills it, and the characters certify orthogonality,
 primitivity and the labels without multiplying idempotents pairwise.
+
+Truncation to b(0..l) is a ring map sending 1 to 1, so for l <= L the
+structure constants, each idempotent and the character table of (m+l, l) are
+those of (m+L, L) cut to l+1 coefficients (the table to its top-left block),
+and `verify_family` forms the squares, the sum and the table once per m.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ __all__ = [
     "summands",
     "kostka",
     "verify_complete_set",
+    "verify_family",
     "character_table",
     "character_certificate",
     "two_row_partitions",
@@ -148,7 +154,8 @@ def character_table(m: int, lambda2: int) -> np.ndarray:
 
 
 def character_certificate(
-    ctx: AlgebraContext, records: list[SummandRecord], squares_ok: bool
+    ctx: AlgebraContext, records: list[SummandRecord], squares_ok: bool,
+    table: np.ndarray | None = None,
 ) -> tuple[list[str], list[str]]:
     """The orthogonality and the count/label failures of `records`, read off
     V = X E mod 3, where X is the character table and column g of E is e(g).
@@ -159,9 +166,10 @@ def character_certificate(
     sum check catches).  There are as many primitive idempotents as maximal
     ideals, i.e. as distinct rows of X.  chi_k is the character of the Specht
     factor (lambda1+k, lambda2-k), and the least dominant factor of the Young
-    module Y^mu is mu itself, so the label of e(g) is min S_g.
+    module Y^mu is mu itself, so the label of e(g) is min S_g.  `table` is X
+    when the caller has it; by default it is built.
     """
-    table = character_table(ctx.m, ctx.lambda2)
+    table = character_table(ctx.m, ctx.lambda2) if table is None else table
     coeffs = np.array([rec.idempotent.coeffs for rec in records], dtype=np.int32)
     # entries of X and E are at most 2, so each int32 sum is at most 4(lambda2+1)
     values = table @ coeffs.T % 3
@@ -188,6 +196,36 @@ def character_certificate(
     return orthogonal, count
 
 
+def _reports(ctx: AlgebraContext, rungs) -> list[VerificationReport]:
+    """Reports of the truncations (ctx.m + l, l) of ctx for l in rungs.  The
+    squares, the sums totals[k] of the first k idempotents and the character
+    table are formed once, at ctx, and cut to l+1 coefficients for rung l."""
+    records = summands(ctx)
+    coeffs = np.array([rec.idempotent.coeffs for rec in records])
+    squares = np.array([(rec.idempotent * rec.idempotent).coeffs for rec in records])
+    totals = np.cumsum(np.vstack([np.zeros_like(coeffs[:1]), coeffs]), axis=0) % 3
+    table = character_table(ctx.m, ctx.lambda2)
+    reports = []
+    for l in rungs:
+        n, rung, kept = l + 1, ctx, records
+        if l != ctx.lambda2:
+            rung = AlgebraContext(ctx.m + l, l, 3)
+            kept = [SummandRecord(rec.g, (rung.lambda1 + rec.g, l - rec.g),
+                                  AlgebraElement(rung, rec.idempotent.coeffs[:n]), rec.b_value)
+                    for rec in records if rec.g <= l]
+        k = len(kept)
+        square_ok = (squares[:k, :n] == coeffs[:k, :n]).all(axis=1).tolist()
+        failures = [f"e(g={rec.g}) is not idempotent"
+                    for rec, ok in zip(kept, square_ok) if not ok]
+        orthogonal, count = character_certificate(rung, kept, not failures, table[:n, :n])
+        sum_ok = totals[k, :n].tolist() == list(rung.one().coeffs)
+        failures += orthogonal + ([] if sum_ok else ["sum of idempotents != 1"]) + count
+        checks = {"idempotent": all(square_ok), "orthogonal": not orthogonal,
+                  "sum_to_one": sum_ok, "count_match": not count}
+        reports.append(VerificationReport(rung, kept, checks, failures))
+    return reports
+
+
 def verify_complete_set(ctx: AlgebraContext) -> VerificationReport:
     """Check that the constructed idempotents are a complete set of primitive
     orthogonal idempotents, each with its Young-module label.
@@ -200,39 +238,13 @@ def verify_complete_set(ctx: AlgebraContext) -> VerificationReport:
     distinct characters.  Without every square the certificate cannot decide
     orthogonality, and `orthogonal` fails.
     """
-    _require_char3(ctx)
-    records = summands(ctx)
-    failures = []
+    return _reports(ctx, [ctx.lambda2])[0]
 
-    idem_ok = True
-    for rec in records:
-        e = rec.idempotent
-        if e * e != e:
-            idem_ok = False
-            failures.append(f"e(g={rec.g}) is not idempotent")
 
-    orthogonal, count = character_certificate(ctx, records, idem_ok)
-    failures.extend(orthogonal)
-
-    total = ctx.zero()
-    for rec in records:
-        total = total + rec.idempotent
-    sum_ok = total == ctx.one()
-    if not sum_ok:
-        failures.append("sum of idempotents != 1")
-    failures.extend(count)
-
-    return VerificationReport(
-        context=ctx,
-        records=records,
-        checks={
-            "idempotent": idem_ok,
-            "orthogonal": not orthogonal,
-            "sum_to_one": sum_ok,
-            "count_match": not count,
-        },
-        failures=failures,
-    )
+def verify_family(m: int, top: int) -> list[VerificationReport]:
+    """The `verify_complete_set` reports of (m+l, l) for l = 0..top, in order
+    of l, all read off the one context (m+top, top) by truncation."""
+    return _reports(AlgebraContext(m + top, top, 3), range(top + 1))
 
 
 def two_row_partitions(r: int) -> list[tuple[int, int]]:

@@ -100,6 +100,8 @@ def _factor_coeffs(ctx: AlgebraContext, g: int, count: int | None = None):
     u < count.
     """
     _require_char3(ctx)
+    if g < 0:
+        raise ValueError(f"g={g} must be non-negative")
     pairs = factor_digits(ctx.m, g, 3)
     if count is None:
         count = len(pairs)
@@ -136,9 +138,6 @@ def build(ctx: AlgebraContext, g: int) -> AlgebraElement:
     digit pair is inadmissible, whose factor is zero, and in the second the
     product's lowest term b(g) lies past the truncation.
     """
-    _require_char3(ctx)
-    if g < 0:
-        raise ValueError(f"g={g} must be non-negative")
     return _expand(ctx, _factor_coeffs(ctx, g))
 
 

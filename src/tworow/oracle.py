@@ -305,7 +305,7 @@ def divided_e(r: int, lam: tuple[int, int], i: int) -> OperatorMatrix:
         raise ValueError(f"divided power index i={i} must be non-negative")
     lam = _require_weight(r, lam)
     cod = (lam[0] + i, lam[1] - i)
-    mat = np.zeros((_weight_dim(r, cod), comb(r, lam[1])), dtype=np.int8)
+    mat = np.zeros((_weight_dim(r, cod), _weight_dim(r, lam)), dtype=np.int8)
     if mat.shape[0]:
         down = _incidence(r, lam[1], i)[0]
         mat[down, np.arange(len(down))[:, None]] = 1
@@ -397,9 +397,10 @@ def j_matrix(r: int, lam: tuple[int, int]) -> OperatorMatrix:
     """Matrix of the column-adding injection on the weight-lam slice."""
     lam = _require_weight(r, lam)
     big = (lam[0] + 1, lam[1] + 1)
-    rows, cols, vals = _j_incidence(r, lam)
     mat = np.zeros((_weight_dim(r + 2, big), _weight_dim(r, lam)), dtype=np.int8)
-    mat[rows, cols] = vals
+    if mat.shape[1]:
+        rows, cols, vals = _j_incidence(r, lam)
+        mat[rows, cols] = vals
     return OperatorMatrix((r, lam), (r + 2, big), mat)
 
 

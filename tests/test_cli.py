@@ -1,11 +1,17 @@
 """End-to-end command-line behaviour via main(argv)."""
 
 import csv
+import hashlib
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tworow
+import tworow.cli as cli
 from tworow.cli import main
 from tworow.decompose import partitions_up_to
 from tworow.padic import big_b
@@ -91,6 +97,15 @@ class TestVerifyCommand:
         monkeypatch.setenv("SCHUR_JOBS", "2")
         code, out = run(capsys, "verify", "--max-r", "8")
         assert code == 0 and "PASS" in out
+
+    def test_sweep_output_is_pinned(self, capsys):
+        # sha256 of the stdout of `tworow verify --max-r 60`, recorded when
+        # each partition was still verified in its own context
+        code, out = run(capsys, "verify", "--max-r", "60")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8098955724ab99baf556b3383f6171da4206f5055f1553feffe16e7ab6f6d5a2"
+        )
 
     @staticmethod
     def corrupt_g1(monkeypatch):
@@ -211,8 +226,47 @@ class TestUsageErrors:
     def test_composite_kostka_prime_exits_2(self, capsys):
         assert "not a prime" in self.usage_error(capsys, "kostka-table", "--max-r", "2", "--p", "4")
 
+    @pytest.fixture
+    def nothing_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a context was built")
+
+        monkeypatch.setattr(cli, "AlgebraContext", refuse)
+        monkeypatch.setattr(cli, "verify_family", refuse)
+
+    @pytest.mark.parametrize("command", ["decompose", "idempotent"])
+    def test_lambda2_past_the_bound_exits_2(self, capsys, nothing_built, command):
+        extra = ["--g", "3"] if command == "idempotent" else []
+        lam = "100000000000,99999999999"
+        text = self.usage_error(capsys, command, "--lambda", lam, *extra)
+        assert "--lambda" in text and "10000" in text
+        assert "10000" in self.usage_error(capsys, command, "--lambda", "10006,10001", *extra)
+
+    def test_max_r_past_the_bound_exits_2(self, capsys, nothing_built):
+        text = self.usage_error(capsys, "verify", "--max-r", "20001")
+        assert "--max-r" in text and "20000" in text
+
+    def test_bounds_are_inclusive_and_leave_m_free(self):
+        parser = cli._build_parser()
+        args = parser.parse_args(["decompose", "--lambda", f"{10**30},10000"])
+        assert args.lam == (10**30, 10000)
+        assert parser.parse_args(["verify", "--max-r", "20000"]).max_r == 20000
+
     def test_huge_kostka_prime_exits_2(self, capsys):
         text = self.usage_error(
             capsys, "kostka-table", "--max-r", "1", "--p", "1000000000000000003"
         )
         assert "2**31" in text
+
+
+def test_cli_import_starts_no_process_machinery():
+    src = Path(tworow.__file__).resolve().parents[1]
+    probe = (
+        "import sys, tworow.cli; "
+        "print([name for name in ('multiprocessing', 'concurrent.futures.process')"
+        " if name in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"

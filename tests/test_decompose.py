@@ -17,8 +17,10 @@ from tworow.decompose import (
     summands,
     two_row_partitions,
     verify_complete_set,
+    verify_family,
 )
 from tworow.errors import UnsupportedCharacteristicError
+from tworow.idempotents import build
 from tworow.padic import big_b
 
 
@@ -254,6 +256,37 @@ class TestCharacterTable:
         table = character_table(m, lambda2).astype(np.int64)
         product = np.array((ctx.basis(i) * ctx.basis(j)).coeffs)
         assert (table @ product % 3).tolist() == (table[:, i] * table[:, j] % 3).tolist()
+
+
+class TestVerifyFamily:
+    """Each m verified once, at its largest lambda2, against every context."""
+
+    @pytest.mark.parametrize("corrupt_g1", [False, True])
+    def test_every_rung_matches_verify_complete_set(self, monkeypatch, corrupt_g1):
+        if corrupt_g1:
+            # e(g=1) gains the identity, so every rung with a g=1 summand fails
+            mutated_build(monkeypatch, lambda c, g, e: e + c.one() if g == 1 else e)
+        failing = 0
+        for m in range(61):
+            top = (60 - m) // 2
+            family = verify_family(m, top)
+            assert [rep.context for rep in family] == [ctx3(m + l, l) for l in range(top + 1)]
+            for l, rep in enumerate(family):
+                alone = verify_complete_set(ctx3(m + l, l))
+                assert rep.to_json() == alone.to_json(), (m, l)
+                assert rep.failures == alone.failures, (m, l)
+                failing += not rep.ok
+        assert failing == (600 if corrupt_g1 else 0)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10**12), st.integers(0, 60), st.data())
+    def test_smaller_lambda2_is_a_truncation(self, m, top, data):
+        l = data.draw(st.integers(0, top))
+        g = data.draw(st.integers(0, top + 1))
+        big, small = ctx3(m + top, top), ctx3(m + l, l)
+        assert build(small, g).coeffs == build(big, g).coeffs[: l + 1]
+        block = character_table(m, top)[: l + 1, : l + 1]
+        assert np.array_equal(character_table(m, l), block)
 
 
 class TestPartitionHelpers:

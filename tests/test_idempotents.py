@@ -386,3 +386,9 @@ class TestZeroWithoutGuard:
     def test_negative_g_is_named(self):
         with pytest.raises(ValueError, match="g=-1"):
             build(ctx3(4, 2), -1)
+
+    def test_negative_g_is_named_in_prefix_and_text(self):
+        ctx = ctx3(4, 2)
+        for call in (lambda: build_prefix(ctx, -1, 0), lambda: factor_sequence_text(ctx, -1)):
+            with pytest.raises(ValueError, match="g=-1 must be non-negative"):
+                call()

@@ -131,6 +131,14 @@ class TestDividedPowers:
         assert divided_f(3, (1, 2), 2).mat.shape == (0, 3)
         assert divided_e(3, (1, 2), 3).mat.shape == (0, 3)
 
+    def test_negative_part_addresses_an_empty_slice(self):
+        # a negative part of the domain weight leaves no columns
+        assert divided_e(3, (4, -1), 0).mat.shape == (0, 0)
+        assert realize_b(3, (4, -1), 0).mat.shape == (0, 0)
+        assert j_matrix(3, (4, -1)).mat.shape == (1, 0)
+        assert divided_e(3, (-1, 4), 1).mat.shape == (1, 0)
+        assert divided_f(3, (4, -1), 1).mat.shape == (1, 0)
+
     def test_iterated_single_step_is_factorial_multiple(self):
         # composing i single raisings equals i! times the i-th divided power
         from math import factorial
