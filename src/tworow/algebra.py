@@ -8,22 +8,29 @@ b(0), ..., b(lambda2) over Z/p, with b(0) the identity and
 where m = lambda1 - lambda2 and b(a) = 0 for a > lambda2.  Only m enters the
 structure constants; lambda2 sets the truncation.
 
-By Lucas's theorem C(h,i) vanishes mod p unless every base-p digit of i is at
-most the matching digit of h, so almost every structure constant is zero.
-Each context lists its non-zero ones once, and every product is a gather and
-a reduction over that list.
+Almost every structure constant is zero mod p.  Write t = i + j - h, so the
+last binomial is C((m+h) + t, t).  By Lucas's theorem C(h,i) C(h,j) is non-zero
+mod p only when the base-p digits of i and of j are at most those of h, one
+by one.  By Kummer's theorem p divides C((m+h) + t, t) exactly when the base-p
+sum (m+h) + t carries somewhere.  Without a carry, Lucas's theorem makes the
+constant the product over digit positions u of
+
+    C(h_u, i_u) C(h_u, j_u) C((m+h)_u + t_u, t_u) mod p,
+
+and no factor is zero.  Each context lists its non-zero constants once,
+grown digit by digit from the lowest, and every product is a gather and a
+reduction over that list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from math import comb
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ContextMismatchError
-from .padic import _require_prime, lucas_binom
+from .padic import _require_prime, digits, lucas_binom
 
 __all__ = [
     "AlgebraContext",
@@ -91,49 +98,148 @@ class AlgebraContext:
 
         Entry n says that b(i[n])b(j[n]) has coefficient c[n] at b(h), where
         entries are grouped by h = 0..lambda2 and the group of h begins at
-        starts[h].  No group is empty: b(0)b(h) = b(h).
+        starts[h].  No group is empty: each begins with b(0)b(h) = b(h).
+
+        The entries are those of the digit-wise product in the module
+        docstring, grown one base-p position at a time from the lowest.  A
+        partial entry holds the low digits of h, i and j, the product of
+        their factors, and a state: the carry out of m + h and the borrow out
+        of t = i + j - h.  Each position extends every partial entry by the
+        steps `_steps` allows from its state.  The digits of lambda2 bound
+        those of h, i, j and t, so above them t has no digit and every factor
+        is 1.  A borrow out of the top digit would mean i + j < h.
         """
-        p, m = self.p, self.m
-        # below[h]: the (i, C(h,i) mod p) with C(h,i) != 0, i.e. the i whose
-        # base-p digits are at most those of h.  Built from h // p by Lucas.
-        below = [[(0, 1)]]
-        rows_i, rows_j, rows_c, starts = [], [], [], []
-        for h in range(self.dim):
-            if h:
-                low = h % p
-                below.append([
-                    (p * i + d, c * comb(low, d) % p)
-                    for i, c in below[h // p]
-                    for d in range(low + 1)
-                ])
-            starts.append(len(rows_c))
-            mixed = {}  # C(m+i+j, i+j-h) mod p, by i+j
-            below_h = below[h]
-            for a, (i, ci) in enumerate(below_h):
-                for j, cj in below_h[a:]:
-                    s = i + j
-                    if s < h:
-                        continue
-                    if s not in mixed:
-                        mixed[s] = lucas_binom(m + s, s - h, p)
-                    c = ci * cj * mixed[s] % p
-                    if not c:
-                        continue
-                    rows_i.append(i)
-                    rows_j.append(j)
-                    rows_c.append(c)
-                    if i != j:
-                        rows_i.append(j)
-                        rows_j.append(i)
-                        rows_c.append(c)
-        return tuple(
-            np.array(rows, dtype=np.int64)
-            for rows in (rows_i, rows_j, rows_c, starts)
-        )
+        p, m, n = self.p, self.m, self.lambda2
+        positions = max(len(digits(n, p)), 1)
+        h = i = j = np.zeros(1, dtype=np.int64)
+        state = np.zeros(1, dtype=np.int8)
+        c = np.ones(1, dtype=np.int64)
+        for u in range(positions):
+            scale = p**u
+            last = u == positions - 1
+            top = n // scale if last else p - 1
+            ends, dh, di, dj, out, cs = _steps(p, top, m // scale % p, 4 if u else 1)
+            # At the top digit of lambda2 an entry must stop borrowing, and h
+            # may take that digit itself only if its lower digits are at most
+            # those of lambda2.  Below it every step is allowed.
+            cap = top + 1 - (h > n % scale) if last else top + 2
+            first = ends[state, 0]
+            counts = ends[state, cap] - first
+            step = _ranges(first, counts)
+            h = np.repeat(h, counts) + scale * dh[step]
+            i = np.repeat(i, counts) + scale * di[step]
+            j = np.repeat(j, counts) + scale * dj[step]
+            c = np.repeat(c, counts) * cs[step] % p
+            state = out[step]
+        # Drop the last position's scratch: the sort's copies set the peak.
+        del first, counts, step, state
+        # Entries come out ordered by their steps, lowest digit first, and
+        # (dh, 0, dh) leads the steps of each dh, so b(0)b(h) leads its group
+        # under a stable sort.
+        order = np.argsort(h, kind="stable")
+        h = h[order]
+        i = i[order]
+        j = j[order]
+        c = c[order]
+        return i, j, c, np.searchsorted(h, np.arange(n + 1))
+
+
+def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges first[k] .. first[k] + counts[k] - 1, one after another."""
+    index = np.repeat(first - np.cumsum(counts) + counts, counts)
+    index += np.arange(len(index))
+    return index
+
+
+def _binom_rows(xs: np.ndarray, top: int, p: int) -> np.ndarray:
+    """rows[s, k] = C(xs[k]+s, s) mod p for s <= top, where 0 <= xs < p and
+    top < p.
+
+    C(x+s, s) is (x+1)...(x+s) / s!; the product reaches 0 where x + s = p,
+    as Lucas's theorem requires.
+    """
+    factors = (xs + np.arange(1, top + 1)[:, None]) % p
+    rows = np.ones((top + 1, len(xs)), dtype=np.int64)
+    inverse = [1] * (top + 1)
+    for s in range(1, top + 1):
+        np.multiply(rows[s - 1], factors[s - 1], out=rows[s])
+        rows[s] %= p
+        inverse[s] = inverse[s - 1] * pow(s, -1, p) % p
+    return rows * np.array(inverse)[:, None] % p
+
+
+@lru_cache(maxsize=16)
+def _steps(p: int, top: int, mu: int, states: int) -> tuple[np.ndarray, ...]:
+    """The digit steps of `AlgebraContext._table` at one base-p position.
+
+    At a position where m has digit mu and h has digits up to top, a step
+    from a state (carry into m + h, borrow into i + j - h) is a digit triple
+    (dh, di, dj) with di, dj <= dh <= top whose digit t of i + j - h adds
+    to the digit a of m + h without a carry.  Its factor
+    C(dh,di) C(dh,dj) C(a+t, t) mod p is then non-zero.
+
+    A state is 2 * carry + borrow.  Returns the arrays (ends, dh, di, dj,
+    out, c), with out the int8 state passed on and the rest int64.  The
+    steps from state s < states are rows ends[s, 0]:ends[s, top+2]; those
+    that pass on no borrow come first, and those of them with dh < k are
+    rows ends[s, 0]:ends[s, k].  Among the steps of one dh, (dh, 0, dh)
+    comes first.
+
+    The lowest position asks for the start state alone (states = 1), the
+    others for all 4.  The arrays are read-only and depend on these four
+    integers alone: at p = 3 there are at most 15 keys.  The cache holds at
+    most 16.  At p = 2**31 - 1 the table for lambda2 = 60 has 40k steps and
+    takes 1.3 MB.
+    """
+    n = top + 1
+    # One segment of dj per (state, sign of d, dh, di), where d = di + dj -
+    # dh - borrow_in gives t = d, or t = p + d with a borrow.  Either way
+    # a + t < p.
+    state, borrow, dh, di = np.indices((states, 2, n, n))
+    carry_in, borrow_in = np.divmod(state, 2)
+    a = mu + dh + carry_in
+    carry, a = a // p, a % p
+    shift = dh + borrow_in - di
+    lo = np.where(borrow, 0, np.maximum(shift, 0))
+    hi = np.minimum(dh, np.where(borrow, shift - 1 - a, shift + p - 1 - a))
+    counts = np.where(di <= dh, np.maximum(hi - lo + 1, 0), 0).ravel()
+    # rows[s, x] = C(x+s, s) over x = 0..top for C(dh, k), then the digit
+    # a = (mu + dh + carry_in) % p of m + h, then the digit p + d of a
+    # borrowing t.
+    width = 3 * n + 1
+    rows = _binom_rows(np.concatenate((
+        np.arange(n), (mu + np.arange(n + 1)) % p, p - 1 - np.arange(n)
+    )), top, p).ravel()
+    # Along a segment, C(dh, dj) and the mixed factor C(a+t, t) = C(a+t, a)
+    # step through the flattened rows by a fixed stride in dj.
+    stride = np.where(borrow, -1, width)
+    mixed = np.where(
+        borrow, a * width + 2 * n + shift, n + dh + carry_in - shift * width
+    )
+    # C(dh, di); the segments with di > dh are empty.
+    ci = rows[di * width + np.maximum(dh - di, 0)]
+    out = (2 * carry + borrow).astype(np.int8)
+    dh, di, out, ci, mixed, stride = (
+        np.repeat(v.ravel(), counts) for v in (dh, di, out, ci, mixed, stride)
+    )
+    dj = _ranges(lo.ravel(), counts)
+    c = ci * rows[dj * (width - 1) + dh] % p * rows[mixed + dj * stride] % p
+    # ends[s, k] from the running count at the start of each (s, borrow, dh).
+    ends = np.concatenate(([0], np.cumsum(counts.reshape(2 * states * n, n).sum(axis=1))))
+    ends = ends[2 * n * np.arange(states)[:, None] + np.append(np.arange(n + 1), 2 * n)]
+    tables = (ends, dh, di, dj, out, c)
+    for array in tables:
+        array.flags.writeable = False
+    return tables
 
 
 def structure_constant(ctx: AlgebraContext, i: int, j: int, h: int) -> int:
     """The coefficient of b(h) in b(i)b(j), as a residue in [0, p-1]."""
+    if max(i, j, h) > ctx.lambda2:
+        raise ValueError(
+            f"b({i})b({j}) at b({h}): an index is above lambda2={ctx.lambda2}, "
+            "where b(a) = 0"
+        )
     if not (max(i, j) <= h <= i + j):
         raise ValueError(
             f"h={h} outside the support range [{max(i, j)}, {i + j}] of b({i})b({j})"

@@ -35,6 +35,8 @@ __all__ = ["main"]
 _MAX_REPORTED = 10
 # The largest lambda2 accepted, in a verify sweep too; m is unbounded (README).
 _MAX_LAMBDA2 = 10**4
+# The largest oracle-check --max-r: memory doubles with each r past it (README).
+_MAX_ORACLE_R = 16
 
 
 def _partition(text: str) -> tuple[int, int]:
@@ -105,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     kos.add_argument("--p", type=_prime, default=3)
 
     orc = sub.add_parser("oracle-check", help="tensor-space cross-validation")
-    orc.add_argument("--max-r", type=_integer(0), default=8)
+    orc.add_argument("--max-r", type=_integer(0, _MAX_ORACLE_R), default=8)
 
     return parser
 

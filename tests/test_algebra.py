@@ -3,13 +3,20 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tworow.algebra import AlgebraContext, AlgebraElement, mul, structure_constant
+from tworow.algebra import (
+    AlgebraContext,
+    AlgebraElement,
+    _steps,
+    mul,
+    structure_constant,
+)
 from tworow.errors import ContextMismatchError, InvalidPrimeError
-from tworow.padic import digits
+from tworow.padic import digits, lucas_binom
 
 
 def ctx_of(l1, l2, p=3):
@@ -106,6 +113,100 @@ class TestStructureConstant:
             structure_constant(ctx_of(4, 4), 1, 2, 1)
         with pytest.raises(ValueError):
             structure_constant(ctx_of(4, 4), 1, 2, 4)
+
+    def test_rejects_indices_past_truncation(self):
+        # b(3) is zero when lambda2 = 2, so b(3)b(3) has no coefficient at
+        # b(5), even though the written formula gives 2 there.
+        ctx = AlgebraContext(4, 2, 3)
+        assert ctx.basis(3).is_zero()
+        for i, j, h in ((3, 3, 5), (3, 0, 3), (0, 3, 3), (2, 2, 3)):
+            with pytest.raises(ValueError, match="lambda2=2"):
+                structure_constant(ctx, i, j, h)
+        # Indices up to lambda2 still follow the formula (m = 2).
+        assert structure_constant(ctx, 1, 2, 2) == 2 * 1 * 5 % 3
+        assert structure_constant(ctx, 1, 1, 2) == 2 * 2 * 1 % 3
+
+
+def table_entries(ctx):
+    """The set of (h, i, j, c) read off ctx._table, after checking its layout."""
+    i, j, c, starts = ctx._table
+    for array in (i, j, c, starts):
+        assert array.dtype == np.int64
+    assert len(starts) == ctx.dim and starts[0] == 0
+    assert np.all(np.diff(starts) > 0) and starts[-1] < len(c)
+    # Each group h begins with b(0)b(h) = b(h).
+    assert i[starts].tolist() == [0] * ctx.dim
+    assert j[starts].tolist() == list(range(ctx.dim))
+    assert c[starts].tolist() == [1] * ctx.dim
+    h = np.repeat(np.arange(ctx.dim), np.diff(np.append(starts, len(c))))
+    return set(zip(h.tolist(), i.tolist(), j.tolist(), c.tolist()))
+
+
+def formula_entries(ctx):
+    """{(h, i, j, structure_constant(ctx, i, j, h)) != 0} over i, j <= lambda2
+    and max(i, j) <= h <= min(i + j, lambda2).
+
+    A triple is skipped only where one of the three written binomials is 0
+    mod p, evaluated by itself: C(h, i), C(h, j), or C(m + i + j, i + j - h).
+    """
+    p, out = ctx.p, set()
+    for h in range(ctx.dim):
+        below = [i for i in range(h + 1) if lucas_binom(h, i, p)]
+        mixed = {s: lucas_binom(ctx.m + s, s - h, p) for s in range(h, 2 * h + 1)}
+        for i in below:
+            for j in below:
+                if i + j >= h and mixed[i + j]:
+                    c = structure_constant(ctx, i, j, h)
+                    if c:
+                        out.add((h, i, j, c))
+    return out
+
+
+@st.composite
+def table_contexts(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7, 2**31 - 1)))
+    lam2 = draw(st.integers(0, 300 if p == 3 else 40))
+    m = draw(st.integers(0, 10**12))
+    return AlgebraContext(m + lam2, lam2, p)
+
+
+class TestTable:
+    """The per-context table of non-zero structure constants against the
+    written formula."""
+
+    def test_exhaustive_small(self):
+        # The entries depend on m alone, and truncation keeps those with
+        # h <= lambda2, so one reference per m serves every lambda2.
+        for m in range(41):
+            full = formula_entries(AlgebraContext(m + 40, 40, 3))
+            for lam2 in range(41):
+                ctx = AlgebraContext(m + lam2, lam2, 3)
+                assert table_entries(ctx) == {e for e in full if e[0] <= lam2}, (m, lam2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(table_contexts())
+    @example(AlgebraContext(3**10 + 7 + 300, 300, 3))
+    @example(AlgebraContext(10**12 + 40, 40, 2**31 - 1))
+    @example(AlgebraContext(0, 0, 2))
+    def test_matches_formula(self, ctx):
+        assert table_entries(ctx) == formula_entries(ctx)
+
+    @pytest.mark.parametrize("m", [0, 5, 2**31 - 62, 10**12 + 3])
+    def test_one_digit_position_at_largest_prime(self, m):
+        # lambda2 = 60 < p: every index is a single base-p digit.
+        ctx = AlgebraContext(m + 60, 60, 2**31 - 1)
+        assert table_entries(ctx) == formula_entries(ctx)
+
+    def test_step_tables_are_few_and_read_only(self):
+        # At p = 3 the steps depend on the top digit, the digit of m, and
+        # whether the position is the lowest: 15 tables serve every context.
+        _steps.cache_clear()
+        for m in (0, 1, 2, 5, 3**10 + 7, 10**12 + 1):
+            for lam2 in (0, 1, 2, 3, 5, 9, 26, 80, 150):
+                AlgebraContext(m + lam2, lam2, 3)._table
+        assert _steps.cache_info().currsize <= 15
+        for array in _steps(3, 2, 1, 4):
+            assert not array.flags.writeable
 
 
 class TestMul:

@@ -246,6 +246,16 @@ class TestUsageErrors:
         text = self.usage_error(capsys, "verify", "--max-r", "20001")
         assert "--max-r" in text and "20000" in text
 
+    def test_oracle_max_r_past_the_bound_exits_2(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(cli, "cross_validate", refuse)
+        for value in ("17", "20", "1000000"):
+            text = self.usage_error(capsys, "oracle-check", "--max-r", value)
+            assert "--max-r" in text and "16" in text
+        assert cli._build_parser().parse_args(["oracle-check", "--max-r", "16"]).max_r == 16
+
     def test_bounds_are_inclusive_and_leave_m_free(self):
         parser = cli._build_parser()
         args = parser.parse_args(["decompose", "--lambda", f"{10**30},10000"])
