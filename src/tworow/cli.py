@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from .algebra import AlgebraContext
@@ -96,11 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="complete-set verification sweep")
     ver.add_argument("--max-r", type=_integer(0, 2 * _MAX_LAMBDA2), default=60)
-    # A string default goes through `type` too, so a bad SCHUR_JOBS is a
-    # usage error of this subcommand alone.
-    ver.add_argument("--jobs", type=_integer(1),
-                     default=os.environ.get("SCHUR_JOBS", "1"),
-                     help="ignored, as is $SCHUR_JOBS: verify runs in one process")
 
     kos = sub.add_parser("kostka-table", help="CSV of two-row p-Kostka numbers")
     kos.add_argument("--max-r", type=_integer(0), required=True)

@@ -92,6 +92,11 @@ class TestBasis:
         with pytest.raises(ValueError):
             AlgebraContext(2, 5, 3)
 
+    @pytest.mark.parametrize("args", [(6.5, 2, 3), (5, 2, 3.0), (True, True, 3)])
+    def test_rejects_non_integers(self, args):
+        with pytest.raises(ValueError, match="is not an integer"):
+            AlgebraContext(*args)
+
 
 class TestStructureConstant:
     def test_m0_square(self):
@@ -181,6 +186,17 @@ class TestTable:
             full = formula_entries(AlgebraContext(m + 40, 40, 3))
             for lam2 in range(41):
                 ctx = AlgebraContext(m + lam2, lam2, 3)
+                assert table_entries(ctx) == {e for e in full if e[0] <= lam2}, (m, lam2)
+
+    @pytest.mark.parametrize("p, bound", [(2, 31), (5, 30)])
+    def test_exhaustive_small_other_primes(self, p, bound):
+        # m, lambda2 < p**2 reach every step table a context can ask for:
+        # each (top, mu) at the lowest digit, and each top >= 1 with each mu
+        # above it.  The bounds run the sums through three or more digits.
+        for m in range(bound + 1):
+            full = formula_entries(AlgebraContext(m + bound, bound, p))
+            for lam2 in range(bound + 1):
+                ctx = AlgebraContext(m + lam2, lam2, p)
                 assert table_entries(ctx) == {e for e in full if e[0] <= lam2}, (m, lam2)
 
     @settings(max_examples=40, deadline=None)
@@ -343,6 +359,16 @@ class TestElementInvariants:
     def test_from_json_rejects_three_row_lambda(self):
         with pytest.raises(ValueError, match="two-row"):
             AlgebraElement.from_json({"lambda": [3, 2, 1], "p": 3, "coeffs": [1, 0, 0]})
+
+    @pytest.mark.parametrize("data", [
+        {"lambda": [2, 2], "p": 3},
+        {"lambda": "22", "p": 3, "coeffs": [1, 0, 0]},
+        {"lambda": [2, 2], "p": "3", "coeffs": [1, 0, 0]},
+        {"lambda": [2, 2], "p": 3, "coeffs": 5},
+    ])
+    def test_from_json_rejects_malformed_input(self, data):
+        with pytest.raises(ValueError):
+            AlgebraElement.from_json(data)
 
 
 class TestVectorOps:

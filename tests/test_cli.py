@@ -12,6 +12,7 @@ import pytest
 
 import tworow
 import tworow.cli as cli
+from tworow.algebra import AlgebraContext
 from tworow.cli import main
 from tworow.decompose import partitions_up_to
 from tworow.padic import big_b
@@ -86,17 +87,6 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS" in out
         assert "verified 49 partitions" in out
-
-    def test_parallel_matches_serial(self, capsys):
-        code, serial = run(capsys, "verify", "--max-r", "10")
-        code2, parallel = run(capsys, "verify", "--max-r", "10", "--jobs", "2")
-        assert code == code2 == 0
-        assert serial == parallel
-
-    def test_jobs_default_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("SCHUR_JOBS", "2")
-        code, out = run(capsys, "verify", "--max-r", "8")
-        assert code == 0 and "PASS" in out
 
     def test_sweep_output_is_pinned(self, capsys):
         # sha256 of the stdout of `tworow verify --max-r 60`, recorded when
@@ -213,15 +203,11 @@ class TestUsageErrors:
         text = self.usage_error(capsys, "oracle-check", "--max-r", "-3")
         assert "--max-r" in text and "PASS" not in text
 
-    def test_zero_jobs_exits_2(self, capsys):
-        assert "--jobs" in self.usage_error(capsys, "verify", "--max-r", "4", "--jobs", "0")
-
-    def test_garbled_schur_jobs_exits_2(self, capsys, monkeypatch):
+    def test_jobs_option_and_schur_jobs_are_gone(self, capsys, monkeypatch):
+        assert "--jobs" in self.usage_error(capsys, "verify", "--max-r", "4", "--jobs", "2")
+        plain = run(capsys, "verify", "--max-r", "4")
         monkeypatch.setenv("SCHUR_JOBS", "abc")
-        assert "'abc'" in self.usage_error(capsys, "verify", "--max-r", "4")
-        # Only the subcommand that reads SCHUR_JOBS rejects it.
-        code, out = run(capsys, "decompose", "--lambda", "2,2")
-        assert code == 0 and "2 Young modules" in out
+        assert run(capsys, "verify", "--max-r", "4") == plain
 
     def test_composite_kostka_prime_exits_2(self, capsys):
         assert "not a prime" in self.usage_error(capsys, "kostka-table", "--max-r", "2", "--p", "4")
@@ -267,6 +253,29 @@ class TestUsageErrors:
             capsys, "kostka-table", "--max-r", "1", "--p", "1000000000000000003"
         )
         assert "2**31" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--lambda", "9,4"],
+    ["decompose", "--lambda", "9,4", "--json"],
+    ["idempotent", "--lambda", "9,4", "--g", "1"],
+    ["verify", "--max-r", "8"],
+    ["kostka-table", "--max-r", "4", "--p", "5"],
+    ["oracle-check", "--max-r", "4"],
+])
+def test_commands_build_algebras_at_three_only(capsys, monkeypatch, argv):
+    # The step tables are sized for p = 3; no command reaches another prime.
+    primes = []
+    check = AlgebraContext.__post_init__
+
+    def record(ctx):
+        primes.append(ctx.p)
+        check(ctx)
+
+    monkeypatch.setattr(AlgebraContext, "__post_init__", record)
+    assert run(capsys, *argv)[0] == 0
+    assert set(primes) <= {3}
+    assert primes or argv[0] == "kostka-table"
 
 
 def test_cli_import_starts_no_process_machinery():
