@@ -37,6 +37,7 @@ __all__ = [
     "AlgebraContext",
     "AlgebraElement",
     "structure_constant",
+    "products",
     "mul",
 ]
 
@@ -337,15 +338,33 @@ class AlgebraElement:
         return " ".join(parts) if parts else "0"
 
 
+def products(ctx: AlgebraContext, xs, ys) -> np.ndarray:
+    """The residue rows of xs[k]·ys[k], for stacks xs and ys of coefficient
+    rows (residues, lambda2 + 1 per row), as a K × (lambda2 + 1) int64 array.
+
+    Each row is one gather and one reduction over the context's table, so no
+    K × entries buffer is ever formed.  A term x[i]·y[j]·c is at most
+    (p-1)^3, which is 8 at p = 3, so while (p-1)^3 times the number of
+    entries fits in int64 the terms and their sums are exact unreduced.  At
+    larger p each product is reduced mod p: a residue below p < 2**31 times
+    another fits in int64, and the sums stay exact while the table has fewer
+    than 2**32 entries.
+    """
+    p = ctx.p
+    i, j, c, starts = ctx._table
+    exact = (p - 1) ** 3 * len(c) < 2**63
+    xs = np.asarray(xs, dtype=np.int64)
+    ys = np.asarray(ys, dtype=np.int64)
+    out = np.empty((len(xs), ctx.dim), dtype=np.int64)
+    for x, y, row in zip(xs, ys, out):
+        terms = x[i] * y[j] * c if exact else c * x[i] % p * y[j] % p
+        np.add.reduceat(terms, starts, out=row)
+    out %= p
+    return out
+
+
 def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Product in the algebra, truncating basis indices above lambda2."""
     ctx = x._same_context(y)
-    p = ctx.p
-    i, j, c, starts = ctx._table
-    xv = np.array(x.coeffs, dtype=np.int64)
-    yv = np.array(y.coeffs, dtype=np.int64)
-    # Each term is a residue below p < 2**31, reduced after every product, so
-    # the int64 sums stay exact while the table has fewer than 2**32 entries.
-    terms = c * xv[i] % p * yv[j] % p
-    acc = np.add.reduceat(terms, starts) % p
-    return AlgebraElement(ctx, tuple(acc.tolist()))
+    (row,) = products(ctx, [x.coeffs], [y.coeffs])
+    return AlgebraElement(ctx, tuple(row.tolist()))

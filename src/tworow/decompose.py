@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraContext, AlgebraElement
+from .algebra import AlgebraContext, AlgebraElement, products
 from .idempotents import _require_char3, build
-from .padic import big_b, digits
+from .padic import _require_prime, big_b, digits
 
 __all__ = [
     "SummandRecord",
@@ -81,6 +81,9 @@ def summands(ctx: AlgebraContext) -> list[SummandRecord]:
 def _require_two_row(lam, mu) -> None:
     """Reject a lambda or mu that is not a two-row partition."""
     for name, part in (("lambda", lam), ("mu", mu)):
+        for value in part:
+            if type(value) is not int:
+                raise ValueError(f"{name}={part} has a part {value!r} that is not an integer")
         if len(part) != 2 or not (part[0] >= part[1] >= 0):
             raise ValueError(f"{name}={part} is not a two-row partition")
 
@@ -88,6 +91,7 @@ def _require_two_row(lam, mu) -> None:
 def kostka(lam: tuple[int, int], mu: tuple[int, int], p: int) -> int:
     """Multiplicity (0 or 1) of the mu Young module inside the lambda
     permutation module, for two-row partitions of the same number."""
+    _require_prime(p)
     _require_two_row(lam, mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"{lam} and {mu} are partitions of different numbers")
@@ -202,7 +206,7 @@ def _reports(ctx: AlgebraContext, rungs) -> list[VerificationReport]:
     table are formed once, at ctx, and cut to l+1 coefficients for rung l."""
     records = summands(ctx)
     coeffs = np.array([rec.idempotent.coeffs for rec in records])
-    squares = np.array([(rec.idempotent * rec.idempotent).coeffs for rec in records])
+    squares = products(ctx, coeffs, coeffs)
     totals = np.cumsum(np.vstack([np.zeros_like(coeffs[:1]), coeffs]), axis=0) % 3
     table = character_table(ctx.m, ctx.lambda2)
     reports = []

@@ -21,7 +21,7 @@ from math import comb
 
 from .algebra import AlgebraContext, AlgebraElement
 from .errors import UnsupportedCharacteristicError
-from .padic import digits, factor_digits, truncate_below, lucas_binom
+from .padic import digits, truncate_below, lucas_binom
 
 __all__ = [
     "Factor",
@@ -59,6 +59,12 @@ def _require_char3(ctx: AlgebraContext) -> None:
         )
 
 
+def _require_position(name: str, value: int) -> None:
+    """Reject a negative digit position by its name."""
+    if value < 0:
+        raise ValueError(f"digit position {name}={value} must be non-negative")
+
+
 # Coefficients of (1, b(3^u), b(2*3^u)) in the factor for each admissible
 # digit pair (a, b); every other pair gives the zero factor.
 _FACTOR_COEFFS = {
@@ -83,11 +89,8 @@ def _element(ctx: AlgebraContext, u: int, coeffs: tuple[int, int, int]) -> Algeb
 def factor_element(ctx: AlgebraContext, u: int, kind: Factor) -> AlgebraElement:
     """The algebra element assigned to factor u, truncated to the context."""
     _require_char3(ctx)
+    _require_position("u", u)
     return _element(ctx, u, kind.coeffs)
-
-
-def _factor_at(pairs: list[tuple[int, int]], u: int) -> Factor:
-    return Factor(*pairs[u]) if u < len(pairs) else Factor(0, 0)
 
 
 def _factor_coeffs(ctx: AlgebraContext, g: int, count: int | None = None):
@@ -102,13 +105,11 @@ def _factor_coeffs(ctx: AlgebraContext, g: int, count: int | None = None):
     _require_char3(ctx)
     if g < 0:
         raise ValueError(f"g={g} must be non-negative")
-    pairs = factor_digits(ctx.m, g, 3)
-    if count is None:
-        count = len(pairs)
-        while 3**count <= ctx.lambda2:
-            count += 1
-    for u in range(count):
-        yield _factor_at(pairs, u).coeffs
+    a, b, u = ctx.m + 2 * g, g, 0
+    while (a or 3**u <= ctx.lambda2) if count is None else u < count:
+        (a, a_u), (b, b_u) = divmod(a, 3), divmod(b, 3)
+        yield _FACTOR_COEFFS.get((a_u, b_u), (0, 0, 0))
+        u += 1
 
 
 def _expand(ctx: AlgebraContext, factors) -> AlgebraElement:
@@ -118,14 +119,17 @@ def _expand(ctx: AlgebraContext, factors) -> AlgebraElement:
     Before position u the vector holds the coefficients of b(0..3^u - 1), cut
     to lambda2 + 1 entries; factor u moves the coefficient at n to each
     d*3^u + n, scaled by its d-th coefficient.  A factor with 3^u > lambda2
-    keeps only its constant term.
+    keeps only its constant term, so those terms are multiplied into one
+    scalar, applied once.
     """
-    vec = [1]
+    vec, scalar = [1], 1
     for u, (c0, c1, c2) in enumerate(factors):
         if 3**u <= ctx.lambda2:
             vec = [c * x % 3 for c in (c0, c1, c2) for x in vec][: ctx.dim]
         else:
-            vec = [c0 * x % 3 for x in vec]
+            scalar = scalar * c0 % 3
+    if scalar != 1:
+        vec = [scalar * x % 3 for x in vec]
     return AlgebraElement(ctx, tuple(vec) + (0,) * (ctx.dim - len(vec)))
 
 
@@ -148,6 +152,7 @@ def build_prefix(
 
     The exclusive prefix at t = 0 is the empty product, i.e. the identity.
     """
+    _require_position("t", t)
     return _expand(ctx, _factor_coeffs(ctx, g, t + 1 if inclusive else t))
 
 
@@ -168,6 +173,7 @@ def psi(ctx: AlgebraContext, u: int) -> AlgebraElement:
     Defined at any prime; zero for u = 0 and whenever the low digits of m
     vanish.
     """
+    _require_position("u", u)
     p = ctx.p
     m_low = truncate_below(ctx.m, p, u)
     top = p**u
@@ -181,6 +187,7 @@ def square_closed_form(ctx: AlgebraContext, u: int, which: str) -> AlgebraElemen
     """Closed form for b(3^u)^2 ('b3sq'), b(2*3^u)^2 ('b2sq'), or the mixed
     product b(3^u)b(2*3^u) ('b3b2')."""
     _require_char3(ctx)
+    _require_position("u", u)
     if ctx.lambda2 < 2 * 3**u:
         raise ValueError(
             f"closed forms assume lambda2 >= 2*3^u; got lambda2={ctx.lambda2}, u={u}"

@@ -13,6 +13,7 @@ from tworow.algebra import (
     AlgebraElement,
     _steps,
     mul,
+    products,
     structure_constant,
 )
 from tworow.errors import ContextMismatchError, InvalidPrimeError
@@ -329,6 +330,48 @@ class TestMul:
         # Rejected by size, before any trial division.
         with pytest.raises(InvalidPrimeError):
             AlgebraContext(4, 2, 2**61 - 1)
+
+
+class TestProducts:
+    """products(ctx, xs, ys) is the one multiplication kernel: unreduced
+    terms while (p-1)^3 times the table size fits in int64, terms reduced
+    mod p above that."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 7, 2**31 - 1]),
+        st.integers(0, 10**12),
+        st.integers(0, 12),
+        st.integers(0, 4),
+        st.data(),
+    )
+    def test_rows_match_structure_constants(self, p, m, l2, k, data):
+        # p = 2**31 - 1 takes the reduced branch, the others the unreduced one
+        ctx = AlgebraContext(m + l2, l2, p)
+        row = st.lists(st.integers(0, p - 1), min_size=ctx.dim, max_size=ctx.dim)
+        xs = data.draw(st.lists(row, min_size=k, max_size=k))
+        ys = data.draw(st.lists(row, min_size=k, max_size=k))
+        got = products(ctx, np.array(xs, dtype=np.int64).reshape(k, ctx.dim),
+                       np.array(ys, dtype=np.int64).reshape(k, ctx.dim))
+        assert got.shape == (k, ctx.dim)
+        for x, y, out in zip(xs, ys, got.tolist()):
+            want = [0] * ctx.dim
+            for i in range(ctx.dim):
+                for j in range(ctx.dim):
+                    for h in range(max(i, j), min(i + j, l2) + 1):
+                        want[h] += x[i] * y[j] * structure_constant(ctx, i, j, h)
+            assert out == [w % p for w in want]
+
+    def test_largest_unreduced_terms(self):
+        # With every coefficient p - 1 = -1 at p = 5, each term x[i]y[j]c of
+        # a constant c = 4 is (p-1)^3 = 64, the largest unreduced term, and
+        # x*x = (sum of all b(i))^2, whose coefficient at b(h) sums group h.
+        ctx = AlgebraContext(7 + 300, 300, 5)
+        i, j, c, starts = ctx._table
+        assert (c == 4).any()
+        minus_one = np.full((2, ctx.dim), 4)
+        want = np.add.reduceat(c, starts) % 5
+        assert (products(ctx, minus_one, minus_one) == want).all()
 
 
 class TestElementInvariants:

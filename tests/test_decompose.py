@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tworow.decompose as decompose
-from tworow.algebra import AlgebraContext
+from tworow.algebra import AlgebraContext, mul
 from tworow.decompose import (
     character_table,
     kostka,
@@ -19,7 +19,7 @@ from tworow.decompose import (
     verify_complete_set,
     verify_family,
 )
-from tworow.errors import UnsupportedCharacteristicError
+from tworow.errors import InvalidPrimeError, UnsupportedCharacteristicError
 from tworow.idempotents import build
 from tworow.padic import big_b
 
@@ -84,6 +84,22 @@ class TestKostka:
         with pytest.raises(ValueError):
             kostka((4, 1), (3, 2, 1), 3)
 
+    def test_prime_is_checked_before_the_dominance_shortcut(self):
+        # mu[1] > lambda[1] answers 0 without a binomial; p is checked first
+        with pytest.raises(InvalidPrimeError):
+            kostka((4, 0), (2, 2), 4)
+        with pytest.raises(InvalidPrimeError):
+            kostka((4, 2), (4, 2), 4)
+
+    @pytest.mark.parametrize(
+        "part", [(3.5, 1.5), (True, False), (np.int64(3), 1)], ids=["float", "bool", "numpy"]
+    )
+    def test_rejects_parts_that_are_not_int(self, part):
+        with pytest.raises(ValueError, match="not an integer"):
+            kostka(part, part, 3)
+        with pytest.raises(ValueError, match="not an integer"):
+            kostka((5, 0), part, 3)
+
     def test_matches_binomial_rule(self):
         for r in range(16):
             for lam in two_row_partitions(r):
@@ -128,6 +144,27 @@ class TestVerifyCompleteSet:
             assert rec.idempotent * rec.idempotent == rec.idempotent
             total = total + rec.idempotent
         assert total == ctx.one()
+
+    def test_squares_are_the_products_of_mul(self, monkeypatch):
+        # _reports squares every summand in one products() call; each row
+        # must be mul(e, e) for that summand
+        kernel, seen = decompose.products, []
+
+        def recorded(ctx, xs, ys):
+            out = kernel(ctx, xs, ys)
+            seen.append((ctx, xs, out))
+            return out
+
+        monkeypatch.setattr(decompose, "products", recorded)
+        for lam in partitions_up_to(60):
+            ctx = ctx3(*lam)
+            report = verify_complete_set(ctx)
+            ((got, xs, squares),) = seen
+            seen.clear()
+            assert got == ctx and len(squares) == len(report.records)
+            for rec, x, square in zip(report.records, xs.tolist(), squares.tolist()):
+                e = rec.idempotent
+                assert x == list(e.coeffs) and square == list(mul(e, e).coeffs), (lam, rec.g)
 
     def test_json_schema(self):
         report = verify_complete_set(ctx3(6, 3))

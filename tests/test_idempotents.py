@@ -4,7 +4,7 @@ import math
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tworow.algebra import AlgebraContext, mul
@@ -172,6 +172,21 @@ class TestExpansion:
         g = g % (l2 + 1)
         assert build(ctx, g) == product_of_factors(ctx, g)
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2**63, 10**30), st.integers(0, 300), st.data())
+    @example(m=10**30, l2=40, data=None)
+    def test_build_is_the_product_beyond_int64(self, m, l2, data):
+        # g runs past lambda2, and most g are inadmissible at such m; both
+        # give zero
+        ctx = ctx3(m + l2, l2)
+        gs = [0, l2, l2 + 1, l2 + 7]
+        if data is not None:
+            gs.append(data.draw(st.integers(0, l2 + 10)))
+        for g in gs:
+            e = build(ctx, g)
+            assert e == product_of_factors(ctx, g)
+            assert e.is_zero() == (g > l2 or math.comb(m + 2 * g, g) % 3 == 0)
+
     def test_prefix_is_the_product(self):
         for r in range(31):
             for l2 in range(r // 2 + 1):
@@ -224,19 +239,39 @@ class TestBuildPrefix:
 
     def test_absorption(self):
         # v = prefix * next factor: v*w = v and v*(1-w) = 0
-        from tworow.idempotents import _factor_at
-        from tworow.padic import factor_digits
-
         for m, g in valid_pairs(15, 10):
             pairs = factor_digits(m, g, 3)
             for t in (0, 1):
                 lam2 = 3 ** (t + 2) - 1
                 ctx = ctx3(m + lam2, lam2)
-                w = factor_element(ctx, t + 1, _factor_at(pairs, t + 1))
+                kind = Factor(*pairs[t + 1]) if t + 1 < len(pairs) else Factor(0, 0)
+                w = factor_element(ctx, t + 1, kind)
                 v = build_prefix(ctx, g, t + 1, inclusive=True)
                 assert v == build_prefix(ctx, g, t, inclusive=True) * w
                 assert v * w == v
                 assert (v * (ctx.one() - w)).is_zero()
+
+
+class TestNegativePosition:
+    """A negative digit position is rejected by its name."""
+
+    def test_build_prefix(self):
+        for inclusive in (True, False):
+            with pytest.raises(ValueError, match="t=-1"):
+                build_prefix(ctx3(36, 13), 13, -1, inclusive)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ctx: psi(ctx, -1),
+            lambda ctx: factor_element(ctx, -1, Factor(0, 0)),
+            lambda ctx: square_closed_form(ctx, -1, "b3sq"),
+        ],
+        ids=["psi", "factor_element", "square_closed_form"],
+    )
+    def test_u(self, call):
+        with pytest.raises(ValueError, match="u=-1"):
+            call(ctx3(36, 13))
 
 
 class TestPsi:
