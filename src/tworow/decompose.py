@@ -157,12 +157,11 @@ def character_table(m: int, lambda2: int) -> np.ndarray:
     return table
 
 
-def character_certificate(
-    ctx: AlgebraContext, records: list[SummandRecord], squares_ok: bool,
-    table: np.ndarray | None = None,
-) -> tuple[list[str], list[str]]:
-    """The orthogonality and the count/label failures of `records`, read off
-    V = X E mod 3, where X is the character table and column g of E is e(g).
+def character_certificate(values: np.ndarray, distinct: int, gs: list[int],
+                          squares_ok: bool) -> tuple[list[str], list[str]]:
+    """The orthogonality and the count/label failures of the idempotents
+    e(g), g in `gs`, read off values = X E mod 3, where X is the character
+    table, column g of E is e(g), and X has `distinct` distinct rows.
 
     With every e(g) idempotent, each chi_k(e(g)) is 0 or 1, and the support
     S_g of column g meets S_h exactly when e(g)e(h) != 0, so orthogonality is
@@ -170,45 +169,50 @@ def character_certificate(
     sum check catches).  There are as many primitive idempotents as maximal
     ideals, i.e. as distinct rows of X.  chi_k is the character of the Specht
     factor (lambda1+k, lambda2-k), and the least dominant factor of the Young
-    module Y^mu is mu itself, so the label of e(g) is min S_g.  `table` is X
-    when the caller has it; by default it is built.
+    module Y^mu is mu itself, so the label of e(g) is min S_g.
     """
-    table = character_table(ctx.m, ctx.lambda2) if table is None else table
-    coeffs = np.array([rec.idempotent.coeffs for rec in records], dtype=np.int32)
-    # entries of X and E are at most 2, so each int32 sum is at most 4(lambda2+1)
-    values = table @ coeffs.T % 3
-
-    orthogonal = []
     if not squares_ok:
-        orthogonal.append("orthogonality not certified: an e(g) is not idempotent")
+        orthogonal = ["orthogonality not certified: an e(g) is not idempotent"]
     elif values.max() > 1:
-        orthogonal.append("a character takes the value 2 on an idempotent")
+        orthogonal = ["a character takes the value 2 on an idempotent"]
     else:
         # more than one 1 in a row: those idempotents share a character
         shared = values[values.sum(axis=1) > 1]
-        for a, b in zip(*np.nonzero(np.triu(shared.T @ shared, 1))):
-            orthogonal.append(f"e(g={records[a].g})*e(g={records[b].g}) != 0")
+        pairs = zip(*np.nonzero(np.triu(shared.T @ shared, 1)))
+        orthogonal = [f"e(g={gs[a]})*e(g={gs[b]}) != 0" for a, b in pairs]
 
-    count = []
     nonzero = values.any(axis=0)
-    if len(set(map(bytes, table))) != len(records) or not nonzero.all():
+    count = []
+    if distinct != len(gs) or not nonzero.all():
         count.append("summand count / nonzero-idempotent mismatch")
     lowest = (values != 0).argmax(axis=0)
-    for rec, k, seen in zip(records, lowest.tolist(), nonzero.tolist()):
-        if seen and k != rec.g:
-            count.append(f"e(g={rec.g}) has lowest character chi_{k}, not chi_{rec.g}")
+    count += [f"e(g={g}) has lowest character chi_{k}, not chi_{g}"
+              for g, k, seen in zip(gs, lowest.tolist(), nonzero.tolist()) if seen and k != g]
     return orthogonal, count
 
 
 def _reports(ctx: AlgebraContext, rungs) -> list[VerificationReport]:
-    """Reports of the truncations (ctx.m + l, l) of ctx for l in rungs.  The
-    squares, the sums totals[k] of the first k idempotents and the character
-    table are formed once, at ctx, and cut to l+1 coefficients for rung l."""
+    """Reports of the truncations (ctx.m + l, l) of ctx for l in rungs.
+
+    The squares, the sums totals[k] of the first k idempotents, the character
+    values V = X E mod 3 and the count distinct[j] of distinct rows among
+    X[:j+1] are formed once, at ctx, and rung l reads their prefixes.  This is
+    exact for any records: X is lower triangular (C(k, i) = 0 for i > k), so
+    V[:n, :k] = X[:n, :n] E[:k, :n]^T, and as row j of X is zero past column
+    j, two rows of X[:n, :n] are equal exactly when the full rows are.
+    """
     records = summands(ctx)
-    coeffs = np.array([rec.idempotent.coeffs for rec in records])
+    gs = [rec.g for rec in records]
+    # entries of X and E are at most 2, so each int32 sum of V is at most 4(lambda2+1)
+    coeffs = np.array([rec.idempotent.coeffs for rec in records], dtype=np.int32)
     squares = products(ctx, coeffs, coeffs)
     totals = np.cumsum(np.vstack([np.zeros_like(coeffs[:1]), coeffs]), axis=0) % 3
     table = character_table(ctx.m, ctx.lambda2)
+    values = table @ coeffs.T % 3
+    rows, distinct = set(), []
+    for row in map(bytes, table):
+        rows.add(row)
+        distinct.append(len(rows))
     reports = []
     for l in rungs:
         n, rung, kept = l + 1, ctx, records
@@ -219,10 +223,10 @@ def _reports(ctx: AlgebraContext, rungs) -> list[VerificationReport]:
                     for rec in records if rec.g <= l]
         k = len(kept)
         square_ok = (squares[:k, :n] == coeffs[:k, :n]).all(axis=1).tolist()
-        failures = [f"e(g={rec.g}) is not idempotent"
-                    for rec, ok in zip(kept, square_ok) if not ok]
-        orthogonal, count = character_certificate(rung, kept, not failures, table[:n, :n])
-        sum_ok = totals[k, :n].tolist() == list(rung.one().coeffs)
+        failures = [f"e(g={g}) is not idempotent" for g, ok in zip(gs, square_ok) if not ok]
+        orthogonal, count = character_certificate(values[:n, :k], distinct[l], gs[:k],
+                                                  not failures)
+        sum_ok = totals[k, :n].tolist() == [1] + [0] * l
         failures += orthogonal + ([] if sum_ok else ["sum of idempotents != 1"]) + count
         checks = {"idempotent": all(square_ok), "orthogonal": not orthogonal,
                   "sum_to_one": sum_ok, "count_match": not count}
@@ -234,13 +238,9 @@ def verify_complete_set(ctx: AlgebraContext) -> VerificationReport:
     """Check that the constructed idempotents are a complete set of primitive
     orthogonal idempotents, each with its Young-module label.
 
-    Checks e^2 = e for each and that the sum is the identity by algebra
-    products.  Orthogonality, the count that certifies primitivity, and the
-    labels come from `character_certificate`: the mod-3 characters chi_k
-    detect every non-zero idempotent, since every maximal ideal is a ker
-    chi_k by lying-over, and there are as many primitive idempotents as
-    distinct characters.  Without every square the certificate cannot decide
-    orthogonality, and `orthogonal` fails.
+    The squares e^2 = e and the sum 1 are checked by algebra products, and
+    orthogonality, primitivity and the labels by `character_certificate`,
+    which cannot decide orthogonality unless every square holds.
     """
     return _reports(ctx, [ctx.lambda2])[0]
 

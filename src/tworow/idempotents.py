@@ -60,7 +60,9 @@ def _require_char3(ctx: AlgebraContext) -> None:
 
 
 def _require_position(name: str, value: int) -> None:
-    """Reject a negative digit position by its name."""
+    """Reject a digit position that is not an int >= 0, by its name."""
+    if type(value) is not int:
+        raise ValueError(f"digit position {name}={value!r} is not an integer")
     if value < 0:
         raise ValueError(f"digit position {name}={value} must be non-negative")
 
@@ -103,6 +105,8 @@ def _factor_coeffs(ctx: AlgebraContext, g: int, count: int | None = None):
     u < count.
     """
     _require_char3(ctx)
+    if type(g) is not int:
+        raise ValueError(f"g={g!r} is not an integer")
     if g < 0:
         raise ValueError(f"g={g} must be non-negative")
     a, b, u = ctx.m + 2 * g, g, 0

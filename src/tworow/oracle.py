@@ -504,6 +504,8 @@ class OracleReport:
 
 def cross_validate(r_max: int = 8) -> OracleReport:
     """Run every oracle check for all two-row partitions with r <= r_max."""
+    if type(r_max) is not int or r_max < 0:
+        raise ValueError(f"r_max={r_max!r} is not an integer >= 0")
     named = {
         "basis_products": check_basis_products,
         "idempotent_matrices": check_idempotent_matrices,

@@ -23,10 +23,13 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _require_prime(p: int) -> int:
+    # typed: 3.0 == 3, so an untyped cache would let a float past the check.
     # Residues are multiplied in int64, so two of them must fit: p < 2**31.
     # The bound also caps trial division, which is enough below it.
+    if type(p) is not int:
+        raise InvalidPrimeError(f"modulus {p!r} is not an int")
     if p >= 2**31:
         raise InvalidPrimeError(
             f"modulus {p} is not below 2**31, the bound for int64 residue products"

@@ -119,6 +119,17 @@ class TestVerifyCommand:
             assert f"lambda={lam}:\n  " in out
         assert out.count("lambda=") == 6 and "PASS" not in out
 
+    def test_failing_sweep_output_is_pinned(self, capsys, monkeypatch):
+        # sha256 of the stdout of `tworow verify --max-r 12` under corrupt_g1,
+        # recorded when every rung still restacked its records and formed its
+        # own character values
+        self.corrupt_g1(monkeypatch)
+        code, out = run(capsys, "verify", "--max-r", "12")
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3d31eeb01fb032e6132c7e88796dcf3b3eba2de39ee8a488d283ba305b1e9c0e"
+        )
+
     def test_failing_partitions_beyond_the_bound_are_counted(self, capsys, monkeypatch):
         self.corrupt_g1(monkeypatch)
         code, out = run(capsys, "verify", "--max-r", "12")

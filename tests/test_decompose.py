@@ -295,14 +295,26 @@ class TestCharacterTable:
         assert (table @ product % 3).tolist() == (table[:, i] * table[:, j] % 3).tolist()
 
 
+# Mutations of build that truncation keeps, so every rung of verify_family
+# holds the records verify_complete_set builds, each with its number of
+# failing rungs over the families with m + 2*top <= 60.
+RUNG_MUTATIONS = {
+    "none": (lambda c, g, e: e, 0),
+    "e1_plus_one": (lambda c, g, e: e + c.one() if g == 1 else e, 600),
+    "e3_doubled": (lambda c, g, e: e.scale(2) if g == 3 else e, 523),
+    "e2_dropped": (lambda c, g, e: c.zero() if g == 2 else e, 280),
+    "e4_is_e0": (lambda c, g, e: build(c, 0) if g == 4 else e, 315),
+    "e0_e9_swapped": (lambda c, g, e: build(c, 9 - g) if g in (0, 9) else e, 961),
+}
+
+
 class TestVerifyFamily:
     """Each m verified once, at its largest lambda2, against every context."""
 
-    @pytest.mark.parametrize("corrupt_g1", [False, True])
-    def test_every_rung_matches_verify_complete_set(self, monkeypatch, corrupt_g1):
-        if corrupt_g1:
-            # e(g=1) gains the identity, so every rung with a g=1 summand fails
-            mutated_build(monkeypatch, lambda c, g, e: e + c.one() if g == 1 else e)
+    @pytest.mark.parametrize("mutation", list(RUNG_MUTATIONS))
+    def test_every_rung_matches_verify_complete_set(self, monkeypatch, mutation):
+        change, expected = RUNG_MUTATIONS[mutation]
+        mutated_build(monkeypatch, change)
         failing = 0
         for m in range(61):
             top = (60 - m) // 2
@@ -313,7 +325,36 @@ class TestVerifyFamily:
                 assert rep.to_json() == alone.to_json(), (m, l)
                 assert rep.failures == alone.failures, (m, l)
                 failing += not rep.ok
-        assert failing == (600 if corrupt_g1 else 0)
+        assert failing == expected
+
+    def test_change_cut_by_truncation_fails_only_the_top_rung(self, monkeypatch):
+        # e(5) gains b(top), which every smaller rung truncates away, so the
+        # rungs of verify_family no longer match verify_complete_set: only the
+        # top rung of each family with a g=5 summand sees the change
+        mutated_build(monkeypatch, lambda c, g, e: e + c.basis(c.lambda2) if g == 5 else e)
+        failing = []
+        for m in range(61):
+            top = (60 - m) // 2
+            failing += [(m, l) for l, rep in enumerate(verify_family(m, top)) if not rep.ok]
+        expected = [(m, (60 - m) // 2) for m in range(51) if big_b(m, 5, 3)]
+        assert failing == expected and len(failing) == 11
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10**12), st.integers(0, 60), st.data())
+    def test_rungs_read_prefixes_of_the_top_characters(self, m, top, data):
+        # V = X E^T mod 3 and the number of distinct characters at (m+l, l)
+        # are a block of V and a count over a prefix of X at (m+top, top)
+        l = data.draw(st.integers(0, top))
+
+        def values(lambda2):
+            recs = summands(ctx3(m + lambda2, lambda2))
+            coeffs = np.array([rec.idempotent.coeffs for rec in recs])
+            return character_table(m, lambda2) @ coeffs.T % 3
+
+        small = values(l)
+        assert np.array_equal(values(top)[: l + 1, : small.shape[1]], small)
+        rows = set(map(bytes, character_table(m, top)[: l + 1]))
+        assert len(rows) == len(set(map(bytes, character_table(m, l))))
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 10**12), st.integers(0, 60), st.data())

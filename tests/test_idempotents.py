@@ -1,8 +1,10 @@
 """The factor table, idempotent products, psi, and the closed-form squares."""
 
 import math
+import re
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -271,6 +273,31 @@ class TestNegativePosition:
     )
     def test_u(self, call):
         with pytest.raises(ValueError, match="u=-1"):
+            call(ctx3(36, 13))
+
+
+class TestNonIntegerInput:
+    """A g, t or u whose type is not exactly int is rejected by its name."""
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda ctx: build(ctx, 1.0), "g=1.0"),
+            (lambda ctx: build(ctx, True), "g=True"),
+            (lambda ctx: build(ctx, np.int64(1)), f"g={np.int64(1)!r}"),
+            (lambda ctx: build_prefix(ctx, 1.0, 1), "g=1.0"),
+            (lambda ctx: build_prefix(ctx, 1, 1.5), "t=1.5"),
+            (lambda ctx: factor_sequence_text(ctx, 2.0), "g=2.0"),
+            (lambda ctx: psi(ctx, 1.0), "u=1.0"),
+            (lambda ctx: factor_element(ctx, True, Factor(0, 0)), "u=True"),
+            (lambda ctx: square_closed_form(ctx, 1.0, "b3sq"), "u=1.0"),
+        ],
+        ids=["build-float", "build-bool", "build-numpy", "build_prefix-g",
+             "build_prefix-t", "factor_sequence_text", "psi", "factor_element",
+             "square_closed_form"],
+    )
+    def test_rejected_by_name(self, call, name):
+        with pytest.raises(ValueError, match=re.escape(f"{name} is not an integer")):
             call(ctx3(36, 13))
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from itertools import combinations, product
 from math import comb
 
@@ -537,6 +538,12 @@ class TestCrossValidation:
             "j_commutation",
             "specht_labels",
         }
+
+    @pytest.mark.parametrize("r_max", [-1, 1.5, True, "8"])
+    def test_rejects_r_max_that_is_not_a_natural_number(self, r_max):
+        # -1 would be a vacuous PASS over no partitions
+        with pytest.raises(ValueError, match=re.escape(f"r_max={r_max!r} ")):
+            cross_validate(r_max)
 
     def test_basis_products_medium(self):
         assert check_basis_products(8) == []

@@ -1,11 +1,14 @@
 """Digit expansions, Lucas binomials, and carry sequences."""
 
+import re
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tworow.decompose import kostka
 from tworow.errors import InvalidPrimeError
 from tworow.padic import (
     big_b,
@@ -98,6 +101,27 @@ class TestLucasBinom:
     @given(st.integers(0, 3000), st.integers(0, 3000), st.sampled_from(PRIMES))
     def test_matches_comb(self, a, b, p):
         assert lucas_binom(a, b, p) == comb(a, b) % p
+
+
+class TestModulusType:
+    """A modulus whose type is not exactly int is rejected by name, also once
+    the equal int has been checked: 3.0 == 3 hashes to the same cache key."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: kostka((4, 2), (4, 2), p),
+            lambda p: kostka((5, 1), (4, 2), p),
+            lambda p: lucas_binom(7, 3, p),
+            lambda p: digits(10, p),
+        ],
+        ids=["kostka", "kostka-shortcut", "lucas_binom", "digits"],
+    )
+    @pytest.mark.parametrize("p", [3.0, 3.5, True, np.int64(3)], ids=repr)
+    def test_rejected_after_the_int_is_cached(self, call, p):
+        call(3)
+        with pytest.raises(InvalidPrimeError, match=re.escape(f"modulus {p!r} is not an int")):
+            call(p)
 
 
 class TestBigB:
