@@ -19,7 +19,8 @@ constant the product over digit positions u of
 
 and no factor is zero.  Each context lists its non-zero constants once,
 grown digit by digit from the lowest, and every product is a gather and a
-reduction over that list.
+reduction over that list.  An element that is itself a product over digits,
+as every idempotent is, squares without the list (`factored_squares`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import ContextMismatchError
+from .errors import ContextMismatchError, UnsupportedCharacteristicError
 from .padic import _require_prime, digits, lucas_binom
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "AlgebraElement",
     "structure_constant",
     "products",
+    "factored_squares",
     "mul",
 ]
 
@@ -202,6 +204,60 @@ def _steps(p: int, top: int, mu: int, states: int) -> tuple[np.ndarray, ...]:
     for array in tables:
         array.flags.writeable = False
     return tables
+
+
+@lru_cache(maxsize=3)
+def _step_tensor(mu: int) -> np.ndarray:
+    """`_steps(3, 2, mu, 4)` scattered into a dense int8 matrix S, with
+    S[(di, dj), (s, dh, s')] the factor of the step (dh, di, dj) from state
+    s to state s', and 0 where no step is allowed.
+
+    Read-only and cached like `_steps`; there are 3 keys.
+    """
+    ends, dh, di, dj, out, c = _steps(3, 2, mu, 4)
+    state = np.repeat(np.arange(4), ends[:, -1] - ends[:, 0])
+    dense = np.zeros((3, 3, 4, 3, 4), dtype=np.int8)
+    dense[di, dj, state, dh, out] = c
+    dense = dense.reshape(9, 48)
+    dense.flags.writeable = False
+    return dense
+
+
+def factored_squares(ctx: AlgebraContext, factors: np.ndarray, scalars) -> np.ndarray:
+    """The residue rows of x_k·x_k, as a K × (lambda2 + 1) int8 array, for
+    elements of a p = 3 context given as digit products: x_k is scalars[k]
+    times the product over u < w of sum_d factors[k, u, d] b(d 3^u),
+    truncated, where 3^w > lambda2 and factors is a K × w × 3 int8 array.
+
+    No structure constant is formed.  The constant at b(i)b(j) -> b(h) is a
+    product over digits of the step factors along a path of states (module
+    docstring), so the coefficient of b(h) in x·x is the start state times
+    the 4 × 4 matrices M_u(h_u), summed over the states that pass on no
+    borrow, where M_u(dh)[s, s'] = sum_{di, dj} f_u[di] f_u[dj] S[(di, dj),
+    (s, dh, s')] for f_u = factors[k, u] and S = `_step_tensor` of the digit
+    of m.  Every h is extended by one digit at a time, lowest first, and cut
+    at lambda2: a constant at h <= lambda2 needs i, j <= h, so no i or j past
+    lambda2 enters.  The cost is O(K · lambda2 · 16) products, all exact in
+    int8: M_u sums 9 terms of at most 8, and each extension 4 of at most 4.
+    """
+    if ctx.p != 3:
+        raise UnsupportedCharacteristicError(f"digit-product squares need p=3, got p={ctx.p}")
+    m, n = ctx.m, ctx.dim
+    k, w, _ = factors.shape
+    pairs = (factors[:, :, :, None] * factors[:, :, None, :]).reshape(k, w, 9)
+    tensors = np.array([_step_tensor(m // 3**u % 3) for u in range(w)]).reshape(w, 9, 48)
+    # steps[u, k, dh, s, s'] = M_u(dh)[s, s'] for the factors of row k
+    steps = (pairs.transpose(1, 0, 2) @ tensors % 3).reshape(w, k, 4, 3, 4).swapaxes(2, 3)
+    # paths[k, h, s']: the sum over the paths of the digits of h below u from
+    # the start state 0 to s'
+    paths = np.zeros((k, 1, 4), dtype=np.int8)
+    paths[:, 0, 0] = 1
+    for step in steps:
+        # [k, dh, h, s'] is h + dh * 3^u in order
+        paths = (paths[:, None] @ step % 3).reshape(k, 3 * paths.shape[1], 4)[:, :n]
+    scalars = np.asarray(scalars, dtype=np.int8)
+    # the states 2 * carry + borrow that pass on no borrow: i + j >= h
+    return (paths[:, :, 0] + paths[:, :, 2]) * (scalars * scalars)[:, None] % 3
 
 
 def structure_constant(ctx: AlgebraContext, i: int, j: int, h: int) -> int:

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraContext, AlgebraElement, products
-from .idempotents import _require_char3, build
+from .algebra import AlgebraContext, AlgebraElement, factored_squares, products
+from .idempotents import _BINOM3, _expand, _factors, _require_char3, _width
 from .padic import _require_prime, big_b, digits
 
 __all__ = [
@@ -61,21 +61,21 @@ class SummandRecord:
 
 
 def summands(ctx: AlgebraContext) -> list[SummandRecord]:
-    """All summand records, ordered by g ascending."""
+    """All summand records, ordered by g ascending: the g <= lambda2 with
+    B = C(m+2g, g) != 0 mod 3, their factors formed and expanded at once."""
     _require_char3(ctx)
-    out = []
-    for g in range(ctx.lambda2 + 1):
-        b = big_b(ctx.m, g, 3)
-        if b:
-            out.append(
-                SummandRecord(
-                    g=g,
-                    mu=(ctx.lambda1 + g, ctx.lambda2 - g),
-                    idempotent=build(ctx, g),
-                    b_value=b,
-                )
-            )
-    return out
+    triples, above, b_values = _factors(ctx.m, _width(ctx.lambda2), np.arange(ctx.dim))
+    (gs,) = np.nonzero(b_values)
+    rows = _expand(triples[gs], above[gs], ctx.dim)
+    return [
+        SummandRecord(
+            g=g,
+            mu=(ctx.lambda1 + g, ctx.lambda2 - g),
+            idempotent=AlgebraElement(ctx, tuple(row.tolist())),
+            b_value=b,
+        )
+        for g, b, row in zip(gs.tolist(), b_values[gs].tolist(), rows)
+    ]
 
 
 def _require_two_row(lam, mu) -> None:
@@ -126,10 +126,6 @@ class VerificationReport:
         }
 
 
-# C(a, b) mod 3 for base-3 digits: row a, column b.
-_BINOM3 = np.array([[1, 0, 0], [1, 1, 0], [1, 2, 1]], dtype=np.int8)
-
-
 def character_table(m: int, lambda2: int) -> np.ndarray:
     """X[k, i] = chi_k(b(i)) = C(k, i) C(m+k+i, i) mod 3 for k, i <= lambda2,
     as an int8 lower-triangular matrix.
@@ -139,6 +135,9 @@ def character_table(m: int, lambda2: int) -> np.ndarray:
     on k+i alone: each position looks up 1-D rows of digits of k, i and
     m + (k+i), never an index grid.
     """
+    for name, value in (("m", m), ("lambda2", lambda2)):
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{name}={value!r} is not an integer >= 0")
     n = lambda2 + 1
     width = len(digits(lambda2, 3))
     powers = 3 ** np.arange(width)[:, None]
@@ -178,8 +177,10 @@ def character_certificate(values: np.ndarray, distinct: int, gs: list[int],
     else:
         # more than one 1 in a row: those idempotents share a character
         shared = values[values.sum(axis=1) > 1]
-        pairs = zip(*np.nonzero(np.triu(shared.T @ shared, 1)))
-        orthogonal = [f"e(g={gs[a]})*e(g={gs[b]}) != 0" for a, b in pairs]
+        orthogonal = []
+        if len(shared):
+            pairs = zip(*np.nonzero(np.triu(shared.T @ shared, 1)))
+            orthogonal = [f"e(g={gs[a]})*e(g={gs[b]}) != 0" for a, b in pairs]
 
     nonzero = values.any(axis=0)
     count = []
@@ -189,6 +190,23 @@ def character_certificate(values: np.ndarray, distinct: int, gs: list[int],
     count += [f"e(g={g}) has lowest character chi_{k}, not chi_{g}"
               for g, k, seen in zip(gs, lowest.tolist(), nonzero.tolist()) if seen and k != g]
     return orthogonal, count
+
+
+def _squares(ctx: AlgebraContext, gs: list[int], coeffs: np.ndarray) -> np.ndarray:
+    """The residue rows of e·e for the rows e of coeffs, the records'
+    idempotents e(g), g in gs.
+
+    A row that equals the expansion of the factors of its label is a digit
+    product, so `factored_squares` squares it from those factors.  Any other
+    row, such as a record that was changed after it was built, is squared by
+    `products` instead.
+    """
+    triples, above, _ = _factors(ctx.m, _width(ctx.lambda2), np.array(gs, dtype=np.int64))
+    squares = factored_squares(ctx, triples, above)
+    changed = (_expand(triples, above, ctx.dim) != coeffs).any(axis=1)
+    if changed.any():
+        squares[changed] = products(ctx, coeffs[changed], coeffs[changed])
+    return squares
 
 
 def _reports(ctx: AlgebraContext, rungs) -> list[VerificationReport]:
@@ -205,8 +223,10 @@ def _reports(ctx: AlgebraContext, rungs) -> list[VerificationReport]:
     gs = [rec.g for rec in records]
     # entries of X and E are at most 2, so each int32 sum of V is at most 4(lambda2+1)
     coeffs = np.array([rec.idempotent.coeffs for rec in records], dtype=np.int32)
-    squares = products(ctx, coeffs, coeffs)
-    totals = np.cumsum(np.vstack([np.zeros_like(coeffs[:1]), coeffs]), axis=0) % 3
+    squares = _squares(ctx, gs, coeffs)
+    totals = np.zeros((len(coeffs) + 1, ctx.dim), dtype=np.int32)
+    np.cumsum(coeffs, axis=0, out=totals[1:])
+    totals %= 3
     table = character_table(ctx.m, ctx.lambda2)
     values = table @ coeffs.T % 3
     rows, distinct = set(), []
@@ -238,9 +258,10 @@ def verify_complete_set(ctx: AlgebraContext) -> VerificationReport:
     """Check that the constructed idempotents are a complete set of primitive
     orthogonal idempotents, each with its Young-module label.
 
-    The squares e^2 = e and the sum 1 are checked by algebra products, and
-    orthogonality, primitivity and the labels by `character_certificate`,
-    which cannot decide orthogonality unless every square holds.
+    The squares e^2 = e are checked by `_squares` and the sum 1 by adding the
+    records, and orthogonality, primitivity and the labels by
+    `character_certificate`, which cannot decide orthogonality unless every
+    square holds.
     """
     return _reports(ctx, [ctx.lambda2])[0]
 

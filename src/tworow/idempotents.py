@@ -17,7 +17,9 @@ factor u's coefficient at the digit n_u, for n <= lambda2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
+
+import numpy as np
 
 from .algebra import AlgebraContext, AlgebraElement
 from .errors import UnsupportedCharacteristicError
@@ -95,46 +97,104 @@ def factor_element(ctx: AlgebraContext, u: int, kind: Factor) -> AlgebraElement:
     return _element(ctx, u, kind.coeffs)
 
 
-def _factor_coeffs(ctx: AlgebraContext, g: int, count: int | None = None):
-    """The coefficient triple of each factor of the idempotent for (ctx.m, g),
-    for u = 0, 1, ...
-
-    By default the factors run over every digit of m+2g and every u with
-    3^u <= lambda2: factors beyond the digit length are (0,0)-type, and
-    reduce to 1 only once 3^u > lambda2.  With `count`, exactly the factors
-    u < count.
-    """
-    _require_char3(ctx)
+def _require_label(g: int) -> None:
+    """Reject a label g that is not an int >= 0, by its name."""
     if type(g) is not int:
         raise ValueError(f"g={g!r} is not an integer")
     if g < 0:
         raise ValueError(f"g={g} must be non-negative")
-    a, b, u = ctx.m + 2 * g, g, 0
-    while (a or 3**u <= ctx.lambda2) if count is None else u < count:
+
+
+def _width(lambda2: int) -> int:
+    """The number w of base-3 digits of lambda2: 3^u <= lambda2 exactly for u < w."""
+    w = 0
+    while 3**w <= lambda2:
+        w += 1
+    return w
+
+
+# _FACTOR_COEFFS and C(a, b) mod 3 as arrays, indexed by the digit pair 3a + b.
+_TRIPLES = np.array(
+    [_FACTOR_COEFFS.get(divmod(pair, 3), (0, 0, 0)) for pair in range(9)], dtype=np.int8
+)
+_BINOM3 = np.array([[1, 0, 0], [1, 1, 0], [1, 2, 1]], dtype=np.int8)
+_POWERS = 3 ** np.arange(40, dtype=np.int64)
+
+
+def _constant_terms(a: int, b: int, positions: int | None = None):
+    """The constant terms of the factors with digit pairs (a_u, b_u), for
+    u = 0, 1, ...: the `positions` lowest, or by default while a has digits."""
+    u = 0
+    while a if positions is None else u < positions:
         (a, a_u), (b, b_u) = divmod(a, 3), divmod(b, 3)
-        yield _FACTOR_COEFFS.get((a_u, b_u), (0, 0, 0))
+        yield _FACTOR_COEFFS.get((a_u, b_u), (0, 0, 0))[0]
         u += 1
 
 
-def _expand(ctx: AlgebraContext, factors) -> AlgebraElement:
-    """The product of the digit factors with the given coefficient triples,
-    taken in order u = 0, 1, ..., by the digit-disjoint rule.
+def _factors(m: int, w: int, gs: np.ndarray):
+    """The factors of the idempotents for (m, g), g in gs, an int64 array of
+    labels below 3^w < 3^40.  Returns arrays (triples, above, b_values):
 
-    Before position u the vector holds the coefficients of b(0..3^u - 1), cut
-    to lambda2 + 1 entries; factor u moves the coefficient at n to each
-    d*3^u + n, scaled by its d-th coefficient.  A factor with 3^u > lambda2
-    keeps only its constant term, so those terms are multiplied into one
-    scalar, applied once.
+    - triples[k, u] holds the coefficients of (1, b(3^u), b(2*3^u)) in the
+      factor of gs[k] at position u < w;
+    - above[k] is the product of the constant terms of its factors at u >= w,
+      all that survives of them once 3^u > lambda2, for lambda2 < 3^w;
+    - b_values[k] is B = C(m+2g, g) mod 3, the product of the digit binomials.
+
+    As g < 3^w, the digit pairs at u >= w are (digit of m+2g, 0), and the
+    digits of m+2g there are those of m // 3^w plus the carry out of
+    m mod 3^w + 2g, which is 0, 1 or 2.  So `above` takes three values, each
+    a product over the digits of m, and m may have any size.
     """
-    vec, scalar = [1], 1
-    for u, (c0, c1, c2) in enumerate(factors):
-        if 3**u <= ctx.lambda2:
-            vec = [c * x % 3 for c in (c0, c1, c2) for x in vec][: ctx.dim]
-        else:
-            scalar = scalar * c0 % 3
-    if scalar != 1:
-        vec = [scalar * x % 3 for x in vec]
-    return AlgebraElement(ctx, tuple(vec) + (0,) * (ctx.dim - len(vec)))
+    scale = 3**w
+    low = m % scale + 2 * gs
+    powers = _POWERS[:w]
+    pairs = low[:, None] // powers % 3 * 3 + gs[:, None] // powers % 3
+    by_carry = [prod(_constant_terms(m // scale + carry, 0)) % 3 for carry in range(3)]
+    above = np.array(by_carry, dtype=np.int8)[low // scale]
+    b_values = _BINOM3.reshape(9)[pairs].prod(axis=1, dtype=np.int64) % 3
+    return _TRIPLES[pairs], above, b_values
+
+
+def _expand(triples: np.ndarray, above: np.ndarray, n: int) -> np.ndarray:
+    """The K × n int8 residue rows of above[k] times the product of the factors
+    with coefficient triples triples[k, u], u = 0, 1, ..., w - 1, by the
+    digit-disjoint rule, for n <= 3^w.
+
+    Before position u a row holds the coefficients of b(0..3^u - 1), cut to n
+    entries; factor u moves the coefficient at h to each d*3^u + h, scaled by
+    its d-th coefficient.
+    """
+    rows = np.asarray(above, dtype=np.int8)[:, None]
+    for factor in triples.transpose(1, 0, 2):
+        outer = factor[:, :, None] * rows[:, None, :]
+        rows = outer.reshape(len(rows), 3 * rows.shape[1])[:, :n] % 3
+    return rows
+
+
+def _label_factors(ctx: AlgebraContext, g: int, count: int | None = None):
+    """The factors of the idempotent for (ctx.m, g) at the positions u < count,
+    or at every u by default: the 1 × w × 3 coefficient triples at u < w,
+    with the identity (1, 0, 0) from count on, and the list of the constant
+    terms of those at u >= w, all that survives of them after truncation.
+    The factors at u < w read only m and g mod 3^w.
+    """
+    _require_char3(ctx)
+    _require_label(g)
+    w = _width(ctx.lambda2)
+    scale = 3**w
+    triples, _, _ = _factors(ctx.m, w, np.array([g % scale], dtype=np.int64))
+    if count is not None:
+        triples[:, count:] = (1, 0, 0)
+        count = max(count - w, 0)
+    return triples, list(_constant_terms((ctx.m + 2 * g) // scale, g // scale, count))
+
+
+def _product(ctx: AlgebraContext, g: int, count: int | None = None) -> AlgebraElement:
+    """The product of the factors that `_label_factors` returns, truncated."""
+    triples, above = _label_factors(ctx, g, count)
+    (row,) = _expand(triples, [prod(above) % 3], ctx.dim)
+    return AlgebraElement(ctx, tuple(row.tolist()))
 
 
 def build(ctx: AlgebraContext, g: int) -> AlgebraElement:
@@ -146,7 +206,7 @@ def build(ctx: AlgebraContext, g: int) -> AlgebraElement:
     digit pair is inadmissible, whose factor is zero, and in the second the
     product's lowest term b(g) lies past the truncation.
     """
-    return _expand(ctx, _factor_coeffs(ctx, g))
+    return _product(ctx, g)
 
 
 def build_prefix(
@@ -157,14 +217,15 @@ def build_prefix(
     The exclusive prefix at t = 0 is the empty product, i.e. the identity.
     """
     _require_position("t", t)
-    return _expand(ctx, _factor_coeffs(ctx, g, t + 1 if inclusive else t))
+    return _product(ctx, g, t + 1 if inclusive else t)
 
 
 def factor_sequence_text(ctx: AlgebraContext, g: int) -> str:
     """The non-trivial factors after truncation, e.g. '(b(1) - b(2))(-b(9))'."""
+    triples, above = _label_factors(ctx, g)
     one = ctx.one()
     parts = []
-    for u, coeffs in enumerate(_factor_coeffs(ctx, g)):
+    for u, coeffs in enumerate([*triples[0].tolist(), *((c, 0, 0) for c in above)]):
         elem = _element(ctx, u, coeffs)
         if elem != one:
             parts.append(f"({elem})")
@@ -213,6 +274,7 @@ def square_closed_form(ctx: AlgebraContext, u: int, which: str) -> AlgebraElemen
 def psi_recursion_check(ctx: AlgebraContext, t: int) -> bool:
     """Check the one-step recursion expressing psi at t through psi at t-1."""
     _require_char3(ctx)
+    _require_position("t", t)
     if t < 1:
         raise ValueError("recursion needs t >= 1")
     m_prev = digits(ctx.m, 3)[t - 1]

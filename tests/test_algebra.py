@@ -12,11 +12,13 @@ from tworow.algebra import (
     AlgebraContext,
     AlgebraElement,
     _steps,
+    factored_squares,
     mul,
     products,
     structure_constant,
 )
-from tworow.errors import ContextMismatchError, InvalidPrimeError
+from tworow.errors import ContextMismatchError, InvalidPrimeError, UnsupportedCharacteristicError
+from tworow.idempotents import _expand, _factors, _width
 from tworow.padic import digits, lucas_binom
 
 
@@ -372,6 +374,55 @@ class TestProducts:
         minus_one = np.full((2, ctx.dim), 4)
         want = np.add.reduceat(c, starts) % 5
         assert (products(ctx, minus_one, minus_one) == want).all()
+
+
+class TestFactoredSquares:
+    """factored_squares squares digit products by transfer matrices built from
+    `_steps`; every row must equal `products` of its expansion, and the
+    idempotents' squares the idempotents themselves."""
+
+    @staticmethod
+    def assert_squares(ctx, factors, scalars):
+        rows = _expand(factors, scalars, ctx.dim)
+        got = factored_squares(ctx, factors, scalars)
+        assert got.shape == (len(factors), ctx.dim)
+        assert got.tolist() == products(ctx, rows, rows).tolist(), ctx
+        return got, rows
+
+    def test_every_context_up_to_r_60(self):
+        rng = np.random.default_rng(60)
+        for r in range(61):
+            for l2 in range(r // 2 + 1):
+                ctx = ctx_of(r - l2, l2)
+                w = _width(l2)
+                # e(g) for every g <= lambda2 (zero where B = 0), then products
+                # of random digit factors, which need not be idempotent
+                triples, above, _ = _factors(ctx.m, w, np.arange(ctx.dim))
+                got, rows = self.assert_squares(ctx, triples, above)
+                assert got.tolist() == rows.tolist(), ctx
+                factors = rng.integers(0, 3, (4, w, 3), dtype=np.int8)
+                self.assert_squares(ctx, factors, rng.integers(0, 3, 4))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**30), st.integers(0, 299), st.integers(0, 3), st.data())
+    def test_large_m(self, m, l2, k, data):
+        ctx = ctx_of(m + l2, l2)
+        w = _width(l2)
+        gs = data.draw(st.lists(st.integers(0, l2), min_size=1, max_size=3))
+        triples, above, _ = _factors(m, w, np.array(gs, dtype=np.int64))
+        got, rows = self.assert_squares(ctx, triples, above)
+        assert got.tolist() == rows.tolist()
+        digit = st.integers(0, 2)
+        factors = np.array(data.draw(st.lists(st.lists(st.lists(
+            digit, min_size=3, max_size=3), min_size=w, max_size=w), min_size=k, max_size=k)),
+            dtype=np.int8).reshape(k, w, 3)
+        scalars = data.draw(st.lists(digit, min_size=k, max_size=k))
+        self.assert_squares(ctx, factors, scalars)
+
+    def test_needs_characteristic_3(self):
+        ctx = AlgebraContext(5, 2, 5)
+        with pytest.raises(UnsupportedCharacteristicError, match="p=5"):
+            factored_squares(ctx, np.ones((1, 1, 3), dtype=np.int8), [1])
 
 
 class TestElementInvariants:

@@ -100,13 +100,17 @@ class TestVerifyCommand:
     @staticmethod
     def corrupt_g1(monkeypatch):
         # e(g=1) gains the identity, so every partition with a g=1 summand fails
+        import dataclasses
+
         import tworow.decompose as decompose
 
-        build = decompose.build
-        monkeypatch.setattr(
-            decompose, "build",
-            lambda ctx, g: build(ctx, g) + ctx.one() if g == 1 else build(ctx, g),
-        )
+        summands = decompose.summands
+
+        def corrupted(ctx):
+            return [dataclasses.replace(rec, idempotent=rec.idempotent + ctx.one())
+                    if rec.g == 1 else rec for rec in summands(ctx)]
+
+        monkeypatch.setattr(decompose, "summands", corrupted)
 
     def test_every_failing_partition_is_named(self, capsys, monkeypatch):
         self.corrupt_g1(monkeypatch)

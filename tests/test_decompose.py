@@ -1,6 +1,8 @@
 """Summand enumeration, Kostka multiplicities, and the complete-set report."""
 
+import dataclasses
 import json
+import re
 from math import comb
 
 import numpy as np
@@ -29,6 +31,16 @@ def ctx3(l1, l2):
 
 
 class TestSummands:
+    def test_labels_and_b_are_the_binomials_up_to_r_100(self):
+        for l1, l2 in partitions_up_to(100):
+            m = l1 - l2
+            binomials = [comb(m + 2 * g, g) % 3 for g in range(l2 + 1)]
+            recs = summands(ctx3(l1, l2))
+            assert [(rec.g, rec.b_value) for rec in recs] == [
+                (g, b) for g, b in enumerate(binomials) if b
+            ], (l1, l2)
+            assert all(rec.mu == (l1 + rec.g, l2 - rec.g) for rec in recs)
+
     def test_top_summand_example(self):
         recs = summands(ctx3(36, 13))
         top = [rec for rec in recs if rec.g == 13]
@@ -146,16 +158,16 @@ class TestVerifyCompleteSet:
         assert total == ctx.one()
 
     def test_squares_are_the_products_of_mul(self, monkeypatch):
-        # _reports squares every summand in one products() call; each row
-        # must be mul(e, e) for that summand
-        kernel, seen = decompose.products, []
+        # _reports squares every summand in one _squares() call; each row
+        # verify reads must be mul(e, e) for that summand
+        kernel, seen = decompose._squares, []
 
-        def recorded(ctx, xs, ys):
-            out = kernel(ctx, xs, ys)
+        def recorded(ctx, gs, xs):
+            out = kernel(ctx, gs, xs)
             seen.append((ctx, xs, out))
             return out
 
-        monkeypatch.setattr(decompose, "products", recorded)
+        monkeypatch.setattr(decompose, "_squares", recorded)
         for lam in partitions_up_to(60):
             ctx = ctx3(*lam)
             report = verify_complete_set(ctx)
@@ -165,6 +177,30 @@ class TestVerifyCompleteSet:
             for rec, x, square in zip(report.records, xs.tolist(), squares.tolist()):
                 e = rec.idempotent
                 assert x == list(e.coeffs) and square == list(mul(e, e).coeffs), (lam, rec.g)
+
+    def test_genuine_records_need_no_structure_constants(self):
+        for lam in partitions_up_to(40) + [(3**10 + 150, 150), (2**64 + 60, 60)]:
+            ctx = ctx3(*lam)
+            assert verify_complete_set(ctx).ok
+            assert "_table" not in ctx.__dict__, lam
+
+    def test_changed_row_is_squared_by_products(self, monkeypatch):
+        # e(13) doubled is no longer the expansion of its factors, so its row,
+        # and only it, goes through products; the others are squared from
+        # their factors
+        kernel, seen = decompose.products, []
+
+        def recorded(ctx, xs, ys):
+            seen.append((xs.tolist(), ys.tolist()))
+            return kernel(ctx, xs, ys)
+
+        monkeypatch.setattr(decompose, "products", recorded)
+        mutated_build(monkeypatch, lambda c, g, e: e.scale(2) if g == 13 else e)
+        ctx = ctx3(36, 13)
+        report = verify_complete_set(ctx)
+        doubled = list(build(ctx, 13).scale(2).coeffs)
+        assert seen == [([doubled], [doubled])]
+        assert report.failures[0] == "e(g=13) is not idempotent"
 
     def test_json_schema(self):
         report = verify_complete_set(ctx3(6, 3))
@@ -184,11 +220,14 @@ class TestVerifyCompleteSet:
 
 
 def mutated_build(monkeypatch, change):
-    """Make summands() build its idempotents through change(ctx, g, e)."""
-    original = decompose.build
-    monkeypatch.setattr(
-        decompose, "build", lambda ctx, g: change(ctx, g, original(ctx, g))
-    )
+    """Make summands() return each record's idempotent e(g) as change(ctx, g, e)."""
+    original = decompose.summands
+
+    def summands(ctx):
+        return [dataclasses.replace(rec, idempotent=change(ctx, rec.g, rec.idempotent))
+                for rec in original(ctx)]
+
+    monkeypatch.setattr(decompose, "summands", summands)
 
 
 def labels(ctx):
@@ -220,7 +259,7 @@ class TestCharacterCertificate:
                     if g0 == g1:
                         continue
                     monkeypatch.undo()
-                    e0 = decompose.build(ctx, g0)
+                    e0 = build(ctx, g0)
                     mutated_build(monkeypatch, lambda c, g, e: e0 if g == g1 else e)
                     report = verify_complete_set(ctx)
                     assert report.checks["idempotent"]
@@ -242,7 +281,7 @@ class TestCharacterCertificate:
         # orthogonal, summing to 1, as many as the characters: only the
         # labels are wrong, which the products could not see
         ctx = ctx3(36, 13)
-        e0, e13 = decompose.build(ctx, 0), decompose.build(ctx, 13)
+        e0, e13 = build(ctx, 0), build(ctx, 13)
         swap = {0: e13, 13: e0}
         mutated_build(monkeypatch, lambda c, g, e: swap.get(g, e))
         report = verify_complete_set(ctx)
@@ -267,6 +306,17 @@ class TestCharacterCertificate:
 
 
 class TestCharacterTable:
+    @pytest.mark.parametrize(
+        "m, lambda2, name",
+        [(-2, 3, "m=-2"), (2.5, 3, "m=2.5"), (True, 3, "m=True"), (5, 1.0, "lambda2=1.0"),
+         (5, -1, "lambda2=-1"), (5, np.int64(3), f"lambda2={np.int64(3)!r}")],
+        ids=["m-negative", "m-float", "m-bool", "lambda2-float", "lambda2-negative",
+             "lambda2-numpy"],
+    )
+    def test_rejects_what_is_not_a_natural_number(self, m, lambda2, name):
+        with pytest.raises(ValueError, match=re.escape(f"{name} is not an integer >= 0")):
+            character_table(m, lambda2)
+
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 10**12), st.integers(0, 60))
     def test_matches_defining_formula(self, m, lambda2):

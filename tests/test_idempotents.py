@@ -291,10 +291,13 @@ class TestNonIntegerInput:
             (lambda ctx: psi(ctx, 1.0), "u=1.0"),
             (lambda ctx: factor_element(ctx, True, Factor(0, 0)), "u=True"),
             (lambda ctx: square_closed_form(ctx, 1.0, "b3sq"), "u=1.0"),
+            (lambda ctx: psi_recursion_check(ctx, 1.5), "t=1.5"),
+            (lambda ctx: psi_recursion_check(ctx, True), "t=True"),
         ],
         ids=["build-float", "build-bool", "build-numpy", "build_prefix-g",
              "build_prefix-t", "factor_sequence_text", "psi", "factor_element",
-             "square_closed_form"],
+             "square_closed_form", "psi_recursion_check-float",
+             "psi_recursion_check-bool"],
     )
     def test_rejected_by_name(self, call, name):
         with pytest.raises(ValueError, match=re.escape(f"{name} is not an integer")):
