@@ -206,21 +206,24 @@ def _steps(p: int, top: int, mu: int, states: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-@lru_cache(maxsize=3)
-def _step_tensor(mu: int) -> np.ndarray:
-    """`_steps(3, 2, mu, 4)` scattered into a dense int8 matrix S, with
-    S[(di, dj), (s, dh, s')] the factor of the step (dh, di, dj) from state
-    s to state s', and 0 where no step is allowed.
-
-    Read-only and cached like `_steps`; there are 3 keys.
+def _step_tensors() -> np.ndarray:
+    """`_steps(3, 2, mu, 4)` for mu = 0, 1, 2 scattered into a dense int8
+    array S, with S[mu, (di, dj), (s, dh, s')] the factor of the step
+    (dh, di, dj) from state s to state s', and 0 where no step is allowed.
     """
-    ends, dh, di, dj, out, c = _steps(3, 2, mu, 4)
-    state = np.repeat(np.arange(4), ends[:, -1] - ends[:, 0])
-    dense = np.zeros((3, 3, 4, 3, 4), dtype=np.int8)
-    dense[di, dj, state, dh, out] = c
-    dense = dense.reshape(9, 48)
+    dense = np.zeros((3, 3, 3, 4, 3, 4), dtype=np.int8)
+    for mu in range(3):
+        ends, dh, di, dj, out, c = _steps(3, 2, mu, 4)
+        state = np.repeat(np.arange(4), ends[:, -1] - ends[:, 0])
+        dense[mu, di, dj, state, dh, out] = c
+    dense = dense.reshape(3, 9, 48)
     dense.flags.writeable = False
     return dense
+
+
+# Formed once at import, so no call of `factored_squares` pays for it and
+# the cost of one does not depend on which digits of m came before.
+_STEP_TENSORS = _step_tensors()
 
 
 def factored_squares(ctx: AlgebraContext, factors: np.ndarray, scalars) -> np.ndarray:
@@ -234,8 +237,8 @@ def factored_squares(ctx: AlgebraContext, factors: np.ndarray, scalars) -> np.nd
     docstring), so the coefficient of b(h) in x·x is the start state times
     the 4 × 4 matrices M_u(h_u), summed over the states that pass on no
     borrow, where M_u(dh)[s, s'] = sum_{di, dj} f_u[di] f_u[dj] S[(di, dj),
-    (s, dh, s')] for f_u = factors[k, u] and S = `_step_tensor` of the digit
-    of m.  Every h is extended by one digit at a time, lowest first, and cut
+    (s, dh, s')] for f_u = factors[k, u] and S = `_STEP_TENSORS` at the
+    digit of m.  Every h is extended by one digit at a time, lowest first, and cut
     at lambda2: a constant at h <= lambda2 needs i, j <= h, so no i or j past
     lambda2 enters.  The cost is O(K · lambda2 · 16) products, all exact in
     int8: M_u sums 9 terms of at most 8, and each extension 4 of at most 4.
@@ -245,7 +248,7 @@ def factored_squares(ctx: AlgebraContext, factors: np.ndarray, scalars) -> np.nd
     m, n = ctx.m, ctx.dim
     k, w, _ = factors.shape
     pairs = (factors[:, :, :, None] * factors[:, :, None, :]).reshape(k, w, 9)
-    tensors = np.array([_step_tensor(m // 3**u % 3) for u in range(w)]).reshape(w, 9, 48)
+    tensors = _STEP_TENSORS[np.array([m // 3**u % 3 for u in range(w)], dtype=np.intp)]
     # steps[u, k, dh, s, s'] = M_u(dh)[s, s'] for the factors of row k
     steps = (pairs.transpose(1, 0, 2) @ tensors % 3).reshape(w, k, 4, 3, 4).swapaxes(2, 3)
     # paths[k, h, s']: the sum over the paths of the digits of h below u from
