@@ -226,11 +226,13 @@ def _step_tensors() -> np.ndarray:
 _STEP_TENSORS = _step_tensors()
 
 
-def factored_squares(ctx: AlgebraContext, factors: np.ndarray, scalars) -> np.ndarray:
+def factored_squares(ctx: AlgebraContext, factors: np.ndarray) -> np.ndarray:
     """The residue rows of x_k·x_k, as a K × (lambda2 + 1) int8 array, for
-    elements of a p = 3 context given as digit products: x_k is scalars[k]
-    times the product over u < w of sum_d factors[k, u, d] b(d 3^u),
-    truncated, where 3^w > lambda2 and factors is a K × w × 3 int8 array.
+    elements of a p = 3 context given as digit products: x_k is the product
+    over u < w of sum_d factors[k, u, d] b(d 3^u), truncated, where
+    3^w > lambda2 and factors is a K × w × 3 int8 array.  An idempotent's
+    factors at u >= w truncate to 1 (`idempotents._factors`), so its w
+    lowest factors are all of it.
 
     No structure constant is formed.  The constant at b(i)b(j) -> b(h) is a
     product over digits of the step factors along a path of states (module
@@ -258,9 +260,8 @@ def factored_squares(ctx: AlgebraContext, factors: np.ndarray, scalars) -> np.nd
     for step in steps:
         # [k, dh, h, s'] is h + dh * 3^u in order
         paths = (paths[:, None] @ step % 3).reshape(k, 3 * paths.shape[1], 4)[:, :n]
-    scalars = np.asarray(scalars, dtype=np.int8)
     # the states 2 * carry + borrow that pass on no borrow: i + j >= h
-    return (paths[:, :, 0] + paths[:, :, 2]) * (scalars * scalars)[:, None] % 3
+    return (paths[:, :, 0] + paths[:, :, 2]) % 3
 
 
 def structure_constant(ctx: AlgebraContext, i: int, j: int, h: int) -> int:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import AlgebraContext, AlgebraElement, factored_squares, products
 from .idempotents import _BINOM3, _expand, _factors, _require_char3, _width
-from .padic import _require_prime, big_b, digits
+from .padic import _require_prime, big_b
 
 __all__ = [
     "SummandRecord",
@@ -64,9 +64,9 @@ def summands(ctx: AlgebraContext) -> list[SummandRecord]:
     """All summand records, ordered by g ascending: the g <= lambda2 with
     B = C(m+2g, g) != 0 mod 3, their factors formed and expanded at once."""
     _require_char3(ctx)
-    triples, above, b_values = _factors(ctx.m, _width(ctx.lambda2), np.arange(ctx.dim))
+    triples, b_values = _factors(ctx.m, _width(ctx.lambda2), np.arange(ctx.dim))
     (gs,) = np.nonzero(b_values)
-    rows = _expand(triples[gs], above[gs], ctx.dim)
+    rows = _expand(triples[gs], ctx.dim)
     return [
         SummandRecord(
             g=g,
@@ -139,7 +139,7 @@ def character_table(m: int, lambda2: int) -> np.ndarray:
         if type(value) is not int or value < 0:
             raise ValueError(f"{name}={value!r} is not an integer >= 0")
     n = lambda2 + 1
-    width = len(digits(lambda2, 3))
+    width = _width(lambda2)
     powers = 3 ** np.arange(width)[:, None]
     low_digits = np.arange(n) // powers % 3
     sum_digits = (m % 3**width + np.arange(2 * n - 1)) // powers % 3
@@ -201,9 +201,9 @@ def _squares(ctx: AlgebraContext, gs: list[int], coeffs: np.ndarray) -> np.ndarr
     row, such as a record that was changed after it was built, is squared by
     `products` instead.
     """
-    triples, above, _ = _factors(ctx.m, _width(ctx.lambda2), np.array(gs, dtype=np.int64))
-    squares = factored_squares(ctx, triples, above)
-    changed = (_expand(triples, above, ctx.dim) != coeffs).any(axis=1)
+    triples, _ = _factors(ctx.m, _width(ctx.lambda2), np.array(gs, dtype=np.int64))
+    squares = factored_squares(ctx, triples)
+    changed = (_expand(triples, ctx.dim) != coeffs).any(axis=1)
     if changed.any():
         squares[changed] = products(ctx, coeffs[changed], coeffs[changed])
     return squares

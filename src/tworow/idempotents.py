@@ -17,7 +17,7 @@ factor u's coefficient at the digit n_u, for n <= lambda2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
@@ -121,51 +121,37 @@ _BINOM3 = np.array([[1, 0, 0], [1, 1, 0], [1, 2, 1]], dtype=np.int8)
 _POWERS = 3 ** np.arange(40, dtype=np.int64)
 
 
-def _constant_terms(a: int, b: int, positions: int | None = None):
-    """The constant terms of the factors with digit pairs (a_u, b_u), for
-    u = 0, 1, ...: the `positions` lowest, or by default while a has digits."""
-    u = 0
-    while a if positions is None else u < positions:
-        (a, a_u), (b, b_u) = divmod(a, 3), divmod(b, 3)
-        yield _FACTOR_COEFFS.get((a_u, b_u), (0, 0, 0))[0]
-        u += 1
-
-
 def _factors(m: int, w: int, gs: np.ndarray):
     """The factors of the idempotents for (m, g), g in gs, an int64 array of
-    labels below 3^w < 3^40.  Returns arrays (triples, above, b_values):
+    labels below 3^w < 3^40.  Returns arrays (triples, b_values):
 
     - triples[k, u] holds the coefficients of (1, b(3^u), b(2*3^u)) in the
       factor of gs[k] at position u < w;
-    - above[k] is the product of the constant terms of its factors at u >= w,
-      all that survives of them once 3^u > lambda2, for lambda2 < 3^w;
     - b_values[k] is B = C(m+2g, g) mod 3, the product of the digit binomials.
 
-    As g < 3^w, the digit pairs at u >= w are (digit of m+2g, 0), and the
-    digits of m+2g there are those of m // 3^w plus the carry out of
-    m mod 3^w + 2g, which is 0, 1 or 2.  So `above` takes three values, each
-    a product over the digits of m, and m may have any size.
+    The factors at u >= w are left out, with no scalar in their place.  Past
+    lambda2 < 3^w only a factor's constant term survives, and by
+    `_FACTOR_COEFFS` that is 1 for every digit pair (a, 0) and 0 for every
+    (a, b) with b >= 1, whatever m is.  So the factor at u >= w truncates to
+    1 where g_u = 0 and to 0 otherwise: to 1 for every g < 3^w.
     """
-    scale = 3**w
-    low = m % scale + 2 * gs
+    low = m % 3**w + 2 * gs
     powers = _POWERS[:w]
     pairs = low[:, None] // powers % 3 * 3 + gs[:, None] // powers % 3
-    by_carry = [prod(_constant_terms(m // scale + carry, 0)) % 3 for carry in range(3)]
-    above = np.array(by_carry, dtype=np.int8)[low // scale]
     b_values = _BINOM3.reshape(9)[pairs].prod(axis=1, dtype=np.int64) % 3
-    return _TRIPLES[pairs], above, b_values
+    return _TRIPLES[pairs], b_values
 
 
-def _expand(triples: np.ndarray, above: np.ndarray, n: int) -> np.ndarray:
-    """The K × n int8 residue rows of above[k] times the product of the factors
-    with coefficient triples triples[k, u], u = 0, 1, ..., w - 1, by the
+def _expand(triples: np.ndarray, n: int) -> np.ndarray:
+    """The K × n int8 residue rows of the products of the factors with
+    coefficient triples triples[k, u], u = 0, 1, ..., w - 1, by the
     digit-disjoint rule, for n <= 3^w.
 
     Before position u a row holds the coefficients of b(0..3^u - 1), cut to n
     entries; factor u moves the coefficient at h to each d*3^u + h, scaled by
     its d-th coefficient.
     """
-    rows = np.asarray(above, dtype=np.int8)[:, None]
+    rows = np.ones((len(triples), 1), dtype=np.int8)
     for factor in triples.transpose(1, 0, 2):
         outer = factor[:, :, None] * rows[:, None, :]
         rows = outer.reshape(len(rows), 3 * rows.shape[1])[:, :n] % 3
@@ -175,25 +161,26 @@ def _expand(triples: np.ndarray, above: np.ndarray, n: int) -> np.ndarray:
 def _label_factors(ctx: AlgebraContext, g: int, count: int | None = None):
     """The factors of the idempotent for (ctx.m, g) at the positions u < count,
     or at every u by default: the 1 × w × 3 coefficient triples at u < w,
-    with the identity (1, 0, 0) from count on, and the list of the constant
-    terms of those at u >= w, all that survives of them after truncation.
-    The factors at u < w read only m and g mod 3^w.
+    with the identity (1, 0, 0) from count on, and the number of zero factors
+    at u >= w, one per non-zero digit of g there (see `_factors`).  The
+    factors at u < w read only m and g mod 3^w.
     """
     _require_char3(ctx)
     _require_label(g)
     w = _width(ctx.lambda2)
     scale = 3**w
-    triples, _, _ = _factors(ctx.m, w, np.array([g % scale], dtype=np.int64))
+    triples, _ = _factors(ctx.m, w, np.array([g % scale], dtype=np.int64))
+    high = digits(g // scale, 3).digits
     if count is not None:
         triples[:, count:] = (1, 0, 0)
-        count = max(count - w, 0)
-    return triples, list(_constant_terms((ctx.m + 2 * g) // scale, g // scale, count))
+        high = high[: max(count - w, 0)]
+    return triples, sum(map(bool, high))
 
 
 def _product(ctx: AlgebraContext, g: int, count: int | None = None) -> AlgebraElement:
     """The product of the factors that `_label_factors` returns, truncated."""
-    triples, above = _label_factors(ctx, g, count)
-    (row,) = _expand(triples, [prod(above) % 3], ctx.dim)
+    triples, zeros = _label_factors(ctx, g, count)
+    (row,) = _expand(triples, ctx.dim) * (zeros == 0)
     return AlgebraElement(ctx, tuple(row.tolist()))
 
 
@@ -222,13 +209,14 @@ def build_prefix(
 
 def factor_sequence_text(ctx: AlgebraContext, g: int) -> str:
     """The non-trivial factors after truncation, e.g. '(b(1) - b(2))(-b(9))'."""
-    triples, above = _label_factors(ctx, g)
+    triples, zeros = _label_factors(ctx, g)
     one = ctx.one()
     parts = []
-    for u, coeffs in enumerate([*triples[0].tolist(), *((c, 0, 0) for c in above)]):
+    for u, coeffs in enumerate(triples[0].tolist()):
         elem = _element(ctx, u, coeffs)
         if elem != one:
             parts.append(f"({elem})")
+    parts += ["(0)"] * zeros
     return "".join(parts) if parts else "1"
 
 

@@ -382,9 +382,9 @@ class TestFactoredSquares:
     idempotents' squares the idempotents themselves."""
 
     @staticmethod
-    def assert_squares(ctx, factors, scalars):
-        rows = _expand(factors, scalars, ctx.dim)
-        got = factored_squares(ctx, factors, scalars)
+    def assert_squares(ctx, factors):
+        rows = _expand(factors, ctx.dim)
+        got = factored_squares(ctx, factors)
         assert got.shape == (len(factors), ctx.dim)
         assert got.tolist() == products(ctx, rows, rows).tolist(), ctx
         return got, rows
@@ -397,11 +397,11 @@ class TestFactoredSquares:
                 w = _width(l2)
                 # e(g) for every g <= lambda2 (zero where B = 0), then products
                 # of random digit factors, which need not be idempotent
-                triples, above, _ = _factors(ctx.m, w, np.arange(ctx.dim))
-                got, rows = self.assert_squares(ctx, triples, above)
+                triples, _ = _factors(ctx.m, w, np.arange(ctx.dim))
+                got, rows = self.assert_squares(ctx, triples)
                 assert got.tolist() == rows.tolist(), ctx
                 factors = rng.integers(0, 3, (4, w, 3), dtype=np.int8)
-                self.assert_squares(ctx, factors, rng.integers(0, 3, 4))
+                self.assert_squares(ctx, factors)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**30), st.integers(0, 299), st.integers(0, 3), st.data())
@@ -409,20 +409,19 @@ class TestFactoredSquares:
         ctx = ctx_of(m + l2, l2)
         w = _width(l2)
         gs = data.draw(st.lists(st.integers(0, l2), min_size=1, max_size=3))
-        triples, above, _ = _factors(m, w, np.array(gs, dtype=np.int64))
-        got, rows = self.assert_squares(ctx, triples, above)
+        triples, _ = _factors(m, w, np.array(gs, dtype=np.int64))
+        got, rows = self.assert_squares(ctx, triples)
         assert got.tolist() == rows.tolist()
         digit = st.integers(0, 2)
         factors = np.array(data.draw(st.lists(st.lists(st.lists(
             digit, min_size=3, max_size=3), min_size=w, max_size=w), min_size=k, max_size=k)),
             dtype=np.int8).reshape(k, w, 3)
-        scalars = data.draw(st.lists(digit, min_size=k, max_size=k))
-        self.assert_squares(ctx, factors, scalars)
+        self.assert_squares(ctx, factors)
 
     def test_needs_characteristic_3(self):
         ctx = AlgebraContext(5, 2, 5)
         with pytest.raises(UnsupportedCharacteristicError, match="p=5"):
-            factored_squares(ctx, np.ones((1, 1, 3), dtype=np.int8), [1])
+            factored_squares(ctx, np.ones((1, 1, 3), dtype=np.int8))
 
 
 class TestElementInvariants:

@@ -45,6 +45,10 @@ class TestFactor:
         assert admissible == set(ADMISSIBLE)
         assert not Factor(1, 2).admissible
         assert not Factor(0, 1).admissible
+        # the constant term is 1 exactly where b = 0, so a factor past
+        # lambda2, where only that term survives, truncates to 1 or 0
+        pairs = [(a, b) for a in range(3) for b in range(3)]
+        assert [Factor(a, b).coeffs[0] for a, b in pairs] == [int(b == 0) for a, b in pairs]
 
     def test_class_pairs(self):
         # each residue class a-2b mod 3 contains exactly one I-side (b=0)
@@ -132,6 +136,13 @@ class TestBuild:
     def test_factor_sequence_text(self):
         assert factor_sequence_text(ctx3(36, 13), 13) == "(b(1) - b(2))(b(3) - b(6))(-b(9))"
         assert factor_sequence_text(ctx3(5, 0), 0) == "1"
+        # past lambda2, one (0) per non-zero digit of g there
+        low = "(b(1) - b(2))(b(3) - b(6))(-b(9))"
+        assert factor_sequence_text(ctx3(5, 0), 1) == "(0)"
+        assert factor_sequence_text(ctx3(36, 13), 40) == low + "(0)"
+        assert factor_sequence_text(ctx3(36, 13), 148) == low + "(0)(0)"
+        assert factor_sequence_text(ctx3(9, 2), 9) == "(1 - b(2))(0)"
+        assert factor_sequence_text(ctx3(10**20 + 4, 4), 3**40 + 2) == "(b(2))(0)"
 
 
 def product_of_factors(ctx, g, count=None):
@@ -190,10 +201,12 @@ class TestExpansion:
             assert e.is_zero() == (g > l2 or math.comb(m + 2 * g, g) % 3 == 0)
 
     def test_prefix_is_the_product(self):
+        # up to r = 20, g runs past lambda2 and past 3^w, so a prefix reaches
+        # a position u >= w with g_u != 0
         for r in range(31):
             for l2 in range(r // 2 + 1):
                 ctx = ctx3(r - l2, l2)
-                for g in range(l2 + 1):
+                for g in range(3 * l2 + 4 if r <= 20 else l2 + 1):
                     for t in range(4):
                         for inclusive in (True, False):
                             want = product_of_factors(ctx, g, t + 1 if inclusive else t)
