@@ -230,7 +230,8 @@ def factored_squares(ctx: AlgebraContext, factors: np.ndarray) -> np.ndarray:
     """The residue rows of x_k·x_k, as a K × (lambda2 + 1) int8 array, for
     elements of a p = 3 context given as digit products: x_k is the product
     over u < w of sum_d factors[k, u, d] b(d 3^u), truncated, where
-    3^w > lambda2 and factors is a K × w × 3 int8 array.  An idempotent's
+    3^w > lambda2 and factors is a K × w × 3 integer array of digits 0..2,
+    which is checked with one min/max pass.  An idempotent's
     factors at u >= w truncate to 1 (`idempotents._factors`), so its w
     lowest factors are all of it.
 
@@ -247,6 +248,12 @@ def factored_squares(ctx: AlgebraContext, factors: np.ndarray) -> np.ndarray:
     """
     if ctx.p != 3:
         raise UnsupportedCharacteristicError(f"digit-product squares need p=3, got p={ctx.p}")
+    factors = np.asarray(factors)
+    if (factors.ndim != 3 or factors.shape[2] != 3 or 3 ** factors.shape[1] <= ctx.lambda2
+            or factors.dtype.kind not in "iu"
+            or factors.size and not 0 <= factors.min() <= factors.max() <= 2):
+        raise ValueError(f"factored_squares needs an integer K x w x 3 array of digits 0..2 with "
+                         f"3^w > lambda2={ctx.lambda2}, got {factors.dtype} {factors.shape}")
     m, n = ctx.m, ctx.dim
     k, w, _ = factors.shape
     pairs = (factors[:, :, :, None] * factors[:, :, None, :]).reshape(k, w, 9)
@@ -409,12 +416,20 @@ def products(ctx: AlgebraContext, xs, ys) -> np.ndarray:
     larger p each product is reduced mod p: a residue below p < 2**31 times
     another fits in int64, and the sums stay exact while the table has fewer
     than 2**32 entries.
+
+    xs and ys must be integer stacks of one shape K × (lambda2 + 1); only the
+    shape and the dtype are checked, so `mul` pays for no pass over entries.
     """
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    if xs.shape != ys.shape or xs.shape[1:] != (ctx.dim,) or not (
+            xs.dtype.kind in "iu" and ys.dtype.kind in "iu"):
+        raise ValueError(f"products needs two integer stacks of one shape K x {ctx.dim}, "
+                         f"got {xs.dtype} {xs.shape} and {ys.dtype} {ys.shape}")
     p = ctx.p
     i, j, c, starts = ctx._table
     exact = (p - 1) ** 3 * len(c) < 2**63
-    xs = np.asarray(xs, dtype=np.int64)
-    ys = np.asarray(ys, dtype=np.int64)
+    xs = xs.astype(np.int64, copy=False)
+    ys = ys.astype(np.int64, copy=False)
     out = np.empty((len(xs), ctx.dim), dtype=np.int64)
     for x, y, row in zip(xs, ys, out):
         terms = x[i] * y[j] * c if exact else c * x[i] % p * y[j] % p

@@ -10,7 +10,10 @@ maps of the algebra over Z; their table is triangular with non-zero diagonal,
 so the algebra sits inside Z^(lambda2+1), and by lying-over every maximal
 ideal mod 3 is the kernel of some chi_k mod 3.  Hence an idempotent is zero
 exactly when every chi_k kills it, and the characters certify orthogonality,
-primitivity and the labels without multiplying idempotents pairwise.
+primitivity and the labels without multiplying idempotents pairwise.  Being
+ring maps, they are fixed by their values at the generators b(3^u) and
+b(2*3^u), and the table is the digit expansion of those values, formed as the
+idempotents are (`idempotents._expand`).
 
 Truncation to b(0..l) is a ring map sending 1 to 1, so for l <= L the
 structure constants, each idempotent and the character table of (m+l, l) are
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraContext, AlgebraElement, factored_squares, products
-from .idempotents import _BINOM3, _expand, _factors, _require_char3, _width
+from .idempotents import _BINOM3, _POWERS, _expand, _factors, _require_char3, _width
 from .padic import _require_prime, big_b
 
 __all__ = [
@@ -126,34 +129,31 @@ class VerificationReport:
         }
 
 
+def _require_natural(**values) -> None:
+    """Reject a value that is not an int >= 0, by its name."""
+    for name, value in values.items():
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{name}={value!r} is not an integer >= 0")
+
+
 def character_table(m: int, lambda2: int) -> np.ndarray:
     """X[k, i] = chi_k(b(i)) = C(k, i) C(m+k+i, i) mod 3 for k, i <= lambda2,
     as an int8 lower-triangular matrix.
 
-    Both binomials are Lucas products over the base-3 positions u of i.  As
-    i < 3^width, only the low `width` digits of m+k+i matter, and they depend
-    on k+i alone: each position looks up 1-D rows of digits of k, i and
-    m + (k+i), never an index grid.
+    b(i) is the product of the b(i_u 3^u) over the base-3 positions u (the
+    digit-disjoint rule of `idempotents`), and chi_k is a ring map, so row k
+    is the digit expansion of chi_k's values at the generators b(d 3^u),
+    d = 1, 2, u < w = `_width(lambda2)`.  By Lucas those are
+    V[k, u, d] = C(k_u, d) C((m+k+d 3^u)_u, d) mod 3, which read only m mod
+    3^w, and d = 0 gives chi_k(1) = 1.
     """
-    for name, value in (("m", m), ("lambda2", lambda2)):
-        if type(value) is not int or value < 0:
-            raise ValueError(f"{name}={value!r} is not an integer >= 0")
-    n = lambda2 + 1
-    width = _width(lambda2)
-    powers = 3 ** np.arange(width)[:, None]
-    low_digits = np.arange(n) // powers % 3
-    sum_digits = (m % 3**width + np.arange(2 * n - 1)) // powers % 3
-    table = np.ones((n, n), dtype=np.int8)
-    for low, total in zip(low_digits, sum_digits):
-        by_digit = _BINOM3[:, low]  # [a, i] = C(a, i_u)
-        # by_sum[k + i, i] = C((m+k+i)_u, i_u), read at [k, i] through a
-        # sheared view: a step in k is one row, a step in i a row and a column
-        by_sum = by_digit[total]
-        row, col = by_sum.strides
-        table *= by_digit[low]
-        table *= np.ndarray((n, n), np.int8, by_sum, strides=(row, row + col))
-        table %= 3
-    return table
+    _require_natural(m=m, lambda2=lambda2)
+    n, w = lambda2 + 1, _width(lambda2)
+    k = np.arange(n)[:, None, None]
+    powers = _POWERS[:w, None]
+    d = np.arange(3)
+    total = (m % 3**w + k + d * powers) // powers % 3
+    return _expand(_BINOM3[k // powers % 3, d] * _BINOM3[total, d] % 3, n)
 
 
 def character_certificate(values: np.ndarray, distinct: int, gs: list[int],
@@ -269,6 +269,7 @@ def verify_complete_set(ctx: AlgebraContext) -> VerificationReport:
 def verify_family(m: int, top: int) -> list[VerificationReport]:
     """The `verify_complete_set` reports of (m+l, l) for l = 0..top, in order
     of l, all read off the one context (m+top, top) by truncation."""
+    _require_natural(m=m, top=top)
     return _reports(AlgebraContext(m + top, top, 3), range(top + 1))
 
 

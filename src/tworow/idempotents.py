@@ -145,7 +145,10 @@ def _factors(m: int, w: int, gs: np.ndarray):
 def _expand(triples: np.ndarray, n: int) -> np.ndarray:
     """The K × n int8 residue rows of the products of the factors with
     coefficient triples triples[k, u], u = 0, 1, ..., w - 1, by the
-    digit-disjoint rule, for n <= 3^w.
+    digit-disjoint rule, for n <= 3^w: entry h of row k is the product over
+    u of triples[k, u, h_u].  The rows are idempotents when the triples are
+    their digit factors, and characters when the triples are a ring map's
+    values at 1, b(3^u) and b(2*3^u) (`decompose.character_table`).
 
     Before position u a row holds the coefficients of b(0..3^u - 1), cut to n
     entries; factor u moves the coefficient at h to each d*3^u + h, scaled by

@@ -375,6 +375,28 @@ class TestProducts:
         want = np.add.reduceat(c, starts) % 5
         assert (products(ctx, minus_one, minus_one) == want).all()
 
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [([[0] * 5, [0] * 5], [[0] * 5]), ([[0] * 6], [[0] * 6]), ([[0] * 4], [[0] * 4]),
+         ([0] * 5, [0] * 5), (np.ones((1, 5)), np.ones((1, 5))),
+         (np.ones((1, 5), dtype=bool), np.ones((1, 5), dtype=bool))],
+        ids=["fewer-ys", "long-rows", "short-rows", "one-row-not-a-stack", "float", "bool"],
+    )
+    def test_rejects_what_is_not_two_integer_stacks_of_one_shape(self, xs, ys):
+        # a row is never left unwritten, cut, padded or cast from a float
+        with pytest.raises(ValueError, match="integer stacks of one shape K x 5"):
+            products(AlgebraContext(10, 4, 3), xs, ys)
+
+    def test_any_integer_dtype_is_read_as_residues(self):
+        ctx = AlgebraContext(10, 4, 3)
+        xs = np.array([[1, 2, 0, 1, 2], [0, 1, 1, 2, 0]])
+        want = products(ctx, xs, xs[::-1])
+        for dtype in (np.int8, np.uint8, np.int32, np.uint64):
+            got = products(ctx, xs.astype(dtype), xs[::-1].astype(dtype))
+            assert got.tolist() == want.tolist()
+        empty = np.zeros((0, 5), dtype=np.int64)
+        assert products(ctx, empty, empty).shape == (0, 5)
+
 
 class TestFactoredSquares:
     """factored_squares squares digit products by transfer matrices built from
@@ -422,6 +444,32 @@ class TestFactoredSquares:
         ctx = AlgebraContext(5, 2, 5)
         with pytest.raises(UnsupportedCharacteristicError, match="p=5"):
             factored_squares(ctx, np.ones((1, 1, 3), dtype=np.int8))
+
+    @pytest.mark.parametrize(
+        "factors",
+        [np.ones((2, 2, 3), dtype=np.int8), np.full((1, 4, 3), 7, dtype=np.int8),
+         np.full((1, 4, 3), -1, dtype=np.int64), np.ones((1, 4, 3)),
+         np.ones((1, 4, 3), dtype=bool), np.ones((4, 3), dtype=np.int8),
+         np.ones((1, 4, 2), dtype=np.int8)],
+        ids=["narrow", "digit-7", "digit-minus-1", "float", "bool", "not-a-stack", "pairs"],
+    )
+    def test_rejects_what_is_not_a_stack_of_digit_triples(self, factors):
+        # at (100, 50) a K x 2 x 3 stack would give K x 9 rows, and int8
+        # digits 7, though 1 mod 3, would overflow the 9-term sums
+        with pytest.raises(ValueError, match=r"K x w x 3 array of digits 0\.\.2"):
+            factored_squares(ctx_of(100, 50), factors)
+
+    def test_wider_and_other_integer_factors(self):
+        # factors past the width truncate to their constant terms, and any
+        # integer dtype of digits 0..2 gives the int8 result
+        ctx = ctx_of(100, 50)
+        factors = np.random.default_rng(24).integers(0, 3, (5, 4, 3), dtype=np.int8)
+        want = self.assert_squares(ctx, factors)[0].tolist()
+        for dtype in (np.uint8, np.int64):
+            assert factored_squares(ctx, factors.astype(dtype)).tolist() == want
+        wider = np.concatenate([factors, np.ones((5, 2, 3), dtype=np.int8)], axis=1)
+        self.assert_squares(ctx, wider)
+        assert factored_squares(ctx, np.zeros((0, 4, 3), dtype=np.int8)).shape == (0, 51)
 
 
 class TestElementInvariants:

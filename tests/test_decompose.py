@@ -1,6 +1,7 @@
 """Summand enumeration, Kostka multiplicities, and the complete-set report."""
 
 import dataclasses
+import hashlib
 import json
 import re
 from math import comb
@@ -202,6 +203,19 @@ class TestVerifyCompleteSet:
         assert seen == [([doubled], [doubled])]
         assert report.failures[0] == "e(g=13) is not idempotent"
 
+    @pytest.mark.parametrize(
+        "m, count, digest",
+        [(5, 106, "f93c972f32ce33bc"), (3**10 + 5, 106, "9698ece8364ca082"),
+         (2**64, 80, "463daa2cb0ebcfd1")],
+    )
+    def test_pinned_reports_at_lambda2_1000(self, m, count, digest):
+        # seven base-3 digits of the characters and idempotents; the digests
+        # pin each report's JSON
+        report = verify_complete_set(ctx3(m + 1000, 1000))
+        assert report.ok and len(report.records) == count
+        text = json.dumps(report.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
     def test_json_schema(self):
         report = verify_complete_set(ctx3(6, 3))
         data = json.loads(json.dumps(report.to_json()))
@@ -305,6 +319,9 @@ class TestCharacterCertificate:
         assert not any("!= 0" in line for line in report.failures)
 
 
+TURNOVER_MS = [0, 1, 3**5 - 1, 2**64 + 5, 10**25 + 7]
+
+
 class TestCharacterTable:
     @pytest.mark.parametrize(
         "m, lambda2, name",
@@ -333,6 +350,25 @@ class TestCharacterTable:
         ]
         assert not np.triu(table, 1).any()
 
+    @pytest.mark.parametrize("lambda2", [2, 3, 8, 9, 26, 27, 53, 54, 80, 81])
+    @pytest.mark.parametrize("m", TURNOVER_MS)
+    def test_matches_defining_formula_where_digits_turn_over(self, m, lambda2):
+        # lambda2 = 3^w - 1 and 3^w, and their doubles, change the width of
+        # the expansion or fill its top digit
+        expected = [[comb(k, i) * comb(m + k + i, i) % 3 for i in range(lambda2 + 1)]
+                    for k in range(lambda2 + 1)]
+        assert character_table(m, lambda2).tolist() == expected
+
+    @pytest.mark.parametrize("lambda2", [728, 729, 1000])
+    def test_sampled_entries_of_wide_tables(self, lambda2):
+        rng = np.random.default_rng(lambda2)
+        for m in TURNOVER_MS:
+            table = character_table(m, lambda2)
+            assert table.dtype == np.int8 and not np.triu(table, 1).any()
+            ks = rng.integers(0, lambda2 + 1, 100)
+            for k, i in zip(ks.tolist(), rng.integers(0, ks + 1).tolist()):
+                assert table[k, i] == comb(k, i) * comb(m + k + i, i) % 3, (m, k, i)
+
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 10**12), st.integers(0, 30), st.data())
     def test_rows_are_ring_maps(self, m, lambda2, data):
@@ -360,6 +396,17 @@ RUNG_MUTATIONS = {
 
 class TestVerifyFamily:
     """Each m verified once, at its largest lambda2, against every context."""
+
+    @pytest.mark.parametrize(
+        "m, top, name",
+        [(-5, 3, "m=-5"), (1.5, 2, "m=1.5"), (True, 2, "m=True"), (5, 2.0, "top=2.0"),
+         (5, -1, "top=-1"), (5, np.int64(3), f"top={np.int64(3)!r}")],
+        ids=["m-negative", "m-float", "m-bool", "top-float", "top-negative", "top-numpy"],
+    )
+    def test_rejects_what_is_not_a_natural_number(self, m, top, name):
+        # named here, not passed on to AlgebraContext as lambda1 = m + top
+        with pytest.raises(ValueError, match=re.escape(f"{name} is not an integer >= 0")):
+            verify_family(m, top)
 
     @pytest.mark.parametrize("mutation", list(RUNG_MUTATIONS))
     def test_every_rung_matches_verify_complete_set(self, monkeypatch, mutation):
