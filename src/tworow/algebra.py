@@ -83,6 +83,8 @@ class AlgebraContext:
 
     def basis(self, i: int) -> "AlgebraElement":
         """b(i), or the zero element when i > lambda2 (truncation rule)."""
+        if type(i) is not int:
+            raise ValueError(f"basis index {i!r} is not an int")
         if i < 0:
             raise ValueError(f"basis index {i} is negative")
         coeffs = [0] * self.dim
@@ -273,6 +275,9 @@ def factored_squares(ctx: AlgebraContext, factors: np.ndarray) -> np.ndarray:
 
 def structure_constant(ctx: AlgebraContext, i: int, j: int, h: int) -> int:
     """The coefficient of b(h) in b(i)b(j), as a residue in [0, p-1]."""
+    for name, index in (("i", i), ("j", j), ("h", h)):
+        if type(index) is not int:
+            raise ValueError(f"index {name}={index!r} is not an int")
     if max(i, j, h) > ctx.lambda2:
         raise ValueError(
             f"b({i})b({j}) at b({h}): an index is above lambda2={ctx.lambda2}, "

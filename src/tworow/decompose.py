@@ -29,7 +29,7 @@ import numpy as np
 
 from .algebra import AlgebraContext, AlgebraElement, factored_squares, products
 from .idempotents import _BINOM3, _POWERS, _expand, _factors, _require_char3, _width
-from .padic import _require_prime, big_b
+from .padic import _require_natural, _require_prime, big_b
 
 __all__ = [
     "SummandRecord",
@@ -127,13 +127,6 @@ class VerificationReport:
             "summands": [rec.to_json() for rec in self.records],
             "checks": dict(self.checks),
         }
-
-
-def _require_natural(**values) -> None:
-    """Reject a value that is not an int >= 0, by its name."""
-    for name, value in values.items():
-        if type(value) is not int or value < 0:
-            raise ValueError(f"{name}={value!r} is not an integer >= 0")
 
 
 def character_table(m: int, lambda2: int) -> np.ndarray:
@@ -275,11 +268,13 @@ def verify_family(m: int, top: int) -> list[VerificationReport]:
 
 def two_row_partitions(r: int) -> list[tuple[int, int]]:
     """All partitions of r with at most two parts, largest first."""
+    _require_natural(r=r)
     return [(r - k, k) for k in range(r // 2 + 1)]
 
 
 def partitions_up_to(n: int) -> list[tuple[int, int]]:
     """All two-row partitions with total at most n, ordered by (r, lambda2)."""
+    _require_natural(n=n)
     out = []
     for r in range(n + 1):
         out.extend(two_row_partitions(r))

@@ -12,17 +12,20 @@ abstract algebra is checked.
 
 Basis subsets are ordered colexicographically, so matrices are reproducible
 byte for byte.  A weight vector is a dense array of residues mod 3 in that
-order, and the column-adding map j is defined once, by the colex ranks of the
-shifted subsets, for `j_map`, `j_matrix` and the equivariance check to read.
+order.  Every sparse operator is an index table that lists the images of
+each basis subset S by colex rank: `_incidence` gives the tables of E^(i),
+with one row per S, and `_j_incidence` that of the column-adding map j, with
+one column per S and one row per value of j, defined once for `j_map`,
+`j_matrix` and the equivariance check to read.
 
 The cross-validation sweeps form no matrices.  Every realized b(i) commutes
 with the place permutations, and M^lambda is generated by the basis vector
 of one subset S0 = {1..lambda2}, so two such endomorphisms are equal exactly
 when they agree on e_S0.  The checks therefore apply b(i) = E^(i)^T E^(i) to
-thin blocks of vectors through the incidence pairs of E^(i) (a subset-sum
-kernel), and they check the equivariance the reduction rests on: the pair
-set of every E^(i) they use, and the map j, must be invariant under the
-generators (1 2) and (1 2 ... r) of the symmetric group.
+thin blocks of vectors through the index tables of E^(i) (a subset-sum
+kernel), and they check the equivariance the reduction rests on: the table
+of every E^(i) they use, and that of j, must commute with the generators
+(1 2) and (1 2 ... r) of the symmetric group.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import numpy as np
 from .algebra import AlgebraContext, AlgebraElement, mul
 from .decompose import _require_two_row, partitions_up_to, summands
 from .errors import ContextMismatchError
+from .padic import _require_natural
 
 __all__ = [
     "WeightVector", "OperatorMatrix", "divided_e", "divided_f", "realize_b",
@@ -141,20 +145,24 @@ def _permuted(r: int, k: int, perm: tuple[int, ...]) -> np.ndarray:
     return _colex_rank(r, np.sort(moved, axis=1))
 
 
-def _commutes(rows, cols, vals, dom: tuple[int, int], cod: tuple[int, int]) -> bool:
-    """Whether the operator with entries `vals` (residues) at (rows, cols)
+def _commutes(table: np.ndarray, dom: tuple[int, int], cod: tuple[int, int]) -> bool:
+    """Whether the operator whose entries are 1 at the index table `table`
     commutes with the place permutations (1 2) and (1 2 ... r).
 
-    It maps the k-subsets of {1..r}, dom = (r, k), to the k'-subsets of
-    {1..r'}, cod = (r', k'); on the codomain the permutations act on the
-    last r positions, which covers j as well as E^(i).
+    Row S of the table lists the image rows of column S.  The operator maps
+    the k-subsets of {1..r}, dom = (r, k), to the k'-subsets of {1..r'},
+    cod = (r', k'); on the codomain the permutations act on the last r
+    positions, which covers j as well as E^(i).  It commutes with sigma
+    exactly when, for every S, the images of sigma(S) are those of S moved
+    by sigma, as multisets; every row has the same width, so comparing the
+    rows sorted decides it.  E^(i) is a 0/1 matrix, so its table is the
+    whole operator.  j has entries 1 and 2, so it is passed one value row
+    at a time, each a one-column table.
     """
     (r, k), (r_cod, k_cod) = dom, cod
-    n = comb(r, k)
-    entries = np.sort((rows * n + cols) * 3 + vals)
     for perm, perm_cod in zip(_generators(r), _generators(r, r_cod - r)):
-        moved = _permuted(r_cod, k_cod, perm_cod)[rows] * n + _permuted(r, k, perm)[cols]
-        if not np.array_equal(np.sort(moved * 3 + vals), entries):
+        moved = np.sort(_permuted(r_cod, k_cod, perm_cod)[table], axis=1)
+        if not np.array_equal(moved, np.sort(table[_permuted(r, k, perm)], axis=1)):
             return False
     return True
 
@@ -162,9 +170,7 @@ def _commutes(rows, cols, vals, dom: tuple[int, int], cod: tuple[int, int]) -> b
 @lru_cache(maxsize=None)
 def _equivariant(r: int, k: int, i: int) -> bool:
     """Whether E^(i) out of the k-subsets of {1..r} commutes with S_r."""
-    down = _incidence(r, k, i)[0]
-    cols = np.repeat(np.arange(len(down)), down.shape[1])
-    return _commutes(down.ravel(), cols, 1, (r, k), (r, k - i))
+    return _commutes(_incidence(r, k, i)[0], (r, k), (r, k - i))
 
 
 def _equivariance_failures(lam: tuple[int, int]) -> list[str]:
@@ -178,16 +184,28 @@ def _equivariance_failures(lam: tuple[int, int]) -> list[str]:
 
 
 @lru_cache(maxsize=None)
-def _j_incidence(r: int, lam: tuple[int, int]):
-    """Entries of j on the weight-lam slice, as the rows (rows, cols, vals) of
-    one array: the subset of column `col` shifts by two and gains position 2
-    with value 1, or position 1 with value -1 = 2; `rows` holds colex ranks."""
+def _j_incidence(r: int, lam: tuple[int, int]) -> np.ndarray:
+    """j on the weight-lam slice as a (2, n) index table of colex ranks: the
+    subset S shifts by two and gains position 2 with value 1 (row 0), or
+    position 1 with value -1 = 2 (row 1).  The 2n images are distinct."""
     shifted = _combos(r, lam[1]) + 2
-    n = len(shifted)
-    rows = [_colex_rank(r + 2, np.insert(shifted, 0, added, axis=1)) for added in (1, 0)]
-    out = np.stack([np.concatenate(rows), np.tile(np.arange(n), 2), np.repeat([1, 2], n)])
+    out = np.stack([_colex_rank(r + 2, np.insert(shifted, 0, added, axis=1)) for added in (1, 0)])
     out.flags.writeable = False
     return out
+
+
+def _j_equivariant(r: int, k: int) -> bool:
+    """Whether j out of the k-subsets of {1..r} commutes with S_r, compared
+    one value row of its table at a time."""
+    return all(_commutes(t[:, None], (r, k), (r + 2, k + 1)) for t in _j_incidence(r, (r - k, k)))
+
+
+def _apply_j(r: int, lam: tuple[int, int], block: np.ndarray) -> np.ndarray:
+    """j applied to the columns of an int64 residue block on the weight-lam
+    slice, reduced mod 3: the images are distinct, so one scatter places it."""
+    out = np.zeros((comb(r + 2, lam[1] + 1), *block.shape[1:]), dtype=np.int64)
+    out[_j_incidence(r, lam)] = block, 2 * block
+    return out % 3
 
 
 class WeightVector:
@@ -385,11 +403,7 @@ def j_map(v: WeightVector) -> WeightVector:
     Sends the slice at (r, lam) to (r+2, lam+(1,1)): every subset shifts by
     two and gains position 2 with sign +, position 1 with sign -.
     """
-    rows, cols, vals = _j_incidence(v.r, v.lam)
-    big = (v.lam[0] + 1, v.lam[1] + 1)
-    out = np.zeros(comb(v.r + 2, big[1]), dtype=np.int64)
-    np.add.at(out, rows, vals * v.dense[cols])
-    return WeightVector(v.r + 2, big, dense=out)
+    return WeightVector(v.r + 2, (v.lam[0] + 1, v.lam[1] + 1), dense=_apply_j(v.r, v.lam, v.dense))
 
 
 def j_matrix(r: int, lam: tuple[int, int]) -> OperatorMatrix:
@@ -398,13 +412,13 @@ def j_matrix(r: int, lam: tuple[int, int]) -> OperatorMatrix:
     big = (lam[0] + 1, lam[1] + 1)
     mat = np.zeros((_weight_dim(r + 2, big), _weight_dim(r, lam)), dtype=np.int8)
     if mat.shape[1]:
-        rows, cols, vals = _j_incidence(r, lam)
-        mat[rows, cols] = vals
+        mat[_j_incidence(r, lam), np.arange(mat.shape[1])] = [[1], [2]]
     return OperatorMatrix((r, lam), (r + 2, big), mat)
 
 
 def check_basis_products(r_max: int) -> list[str]:
     """Realized basis products vs the abstract multiply, on the generator e_S0."""
+    _require_natural(r_max=r_max)
     failures = []
     for lam in partitions_up_to(r_max):
         r, k = sum(lam), lam[1]
@@ -422,6 +436,7 @@ def check_basis_products(r_max: int) -> list[str]:
 
 def check_idempotent_matrices(r_max: int) -> list[str]:
     """Realized idempotents are idempotent, on the generator e_S0."""
+    _require_natural(r_max=r_max)
     failures = []
     for lam in partitions_up_to(r_max):
         r, k = sum(lam), lam[1]
@@ -439,29 +454,31 @@ def check_idempotent_matrices(r_max: int) -> list[str]:
 
 def check_j_commutation(r_max: int) -> list[str]:
     """The column-adding injection commutes with every idempotent, on e_S0."""
+    _require_natural(r_max=r_max)
     failures = []
     for lam in partitions_up_to(r_max):
         r, k = sum(lam), lam[1]
         big = (lam[0] + 1, lam[1] + 1)
         failures += _equivariance_failures(lam) + _equivariance_failures(big)
-        if not _commutes(*_j_incidence(r, lam), (r, k), (r + 2, k + 1)):
+        if not _j_equivariant(r, k):
             failures.append(f"lambda={lam}: j not equivariant")
-        big_ctx = AlgebraContext(big[0], big[1], 3)
-        small = _generator_images(r, k)
-        j0 = j_map(WeightVector.basis(r, lam, range(1, k + 1))).dense[:, None]
-        large = _images(r + 2, k + 1, j0)[:, :, 0].T
+        recs = summands(AlgebraContext(lam[0], lam[1], 3))
         # both partitions have the same m, so every small label is a big one
-        big_rows = {rec.g: rec.idempotent.coeffs for rec in summands(big_ctx)}
-        for rec in summands(AlgebraContext(lam[0], lam[1], 3)):
-            left = j_map(WeightVector(r, lam, dense=small @ rec.idempotent.coeffs)).dense
-            right = large @ np.array(big_rows[rec.g]) % 3
-            if not np.array_equal(left, right):
+        big_rows = {rec.g: rec.idempotent.coeffs for rec in summands(AlgebraContext(*big, 3))}
+        small = np.array([rec.idempotent.coeffs for rec in recs], dtype=np.int64).T
+        large = np.array([big_rows[rec.g] for rec in recs], dtype=np.int64).T
+        left = _apply_j(r, lam, _generator_images(r, k) @ small)
+        j0 = _apply_j(r, lam, np.eye(comb(r, k), 1, dtype=np.int64))
+        right = _images(r + 2, k + 1, j0)[:, :, 0].T @ large % 3
+        for col, rec in enumerate(recs):
+            if not np.array_equal(left[:, col], right[:, col]):
                 failures.append(f"lambda={lam}, g={rec.g}: j does not commute")
     return failures
 
 
 def check_specht_labels(r_max: int) -> list[str]:
     """Idempotents hit the Specht generator exactly for the matching label."""
+    _require_natural(r_max=r_max)
     failures = []
     for lam in partitions_up_to(r_max):
         r = sum(lam)
@@ -505,8 +522,7 @@ class OracleReport:
 
 def cross_validate(r_max: int = 8) -> OracleReport:
     """Run every oracle check for all two-row partitions with r <= r_max."""
-    if type(r_max) is not int or r_max < 0:
-        raise ValueError(f"r_max={r_max!r} is not an integer >= 0")
+    _require_natural(r_max=r_max)
     named = {
         "basis_products": check_basis_products,
         "idempotent_matrices": check_idempotent_matrices,

@@ -39,6 +39,13 @@ def _require_prime(p: int) -> int:
     return p
 
 
+def _require_natural(**values) -> None:
+    """Reject a value that is not an int >= 0, by its name."""
+    for name, value in values.items():
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{name}={value!r} is not an integer >= 0")
+
+
 @dataclass(frozen=True)
 class DigitVector:
     """Normalized little-endian base-p expansion of a natural number.
@@ -90,8 +97,7 @@ class CarrySequence:
 def digits(a: int, p: int) -> DigitVector:
     """Little-endian base-p expansion of a >= 0."""
     _require_prime(p)
-    if a < 0:
-        raise ValueError(f"cannot expand negative value {a}")
+    _require_natural(a=a)
     out = []
     while a:
         a, d = divmod(a, p)
@@ -101,6 +107,8 @@ def digits(a: int, p: int) -> DigitVector:
 
 def truncate_below(a: int, p: int, s: int) -> int:
     """The part of a below p**s, i.e. the number with digits a_0..a_{s-1}."""
+    _require_prime(p)
+    _require_natural(a=a, s=s)
     return a % p**s
 
 
@@ -133,6 +141,7 @@ def carry_sequence(m: int, g: int, p: int) -> CarrySequence:
     The sequence is padded one column beyond the longer operand so the final
     carry (always 0) is explicit.
     """
+    _require_natural(m=m, g=g)
     dm = digits(m, p)
     dg = digits(g, p)
     length = max(len(dm), len(dg)) + 1
@@ -146,6 +155,7 @@ def carry_sequence(m: int, g: int, p: int) -> CarrySequence:
 
 def factor_digits(m: int, g: int, p: int) -> list[tuple[int, int]]:
     """Digit pairs ((m+2g)_u, g_u), one per digit position of m+2g."""
+    _require_natural(m=m, g=g)
     da = digits(m + 2 * g, p)
     db = digits(g, p)
     return [(da[u], db[u]) for u in range(max(len(da), len(db)))]

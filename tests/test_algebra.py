@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,24 @@ class TestBasis:
     def test_rejects_non_integers(self, args):
         with pytest.raises(ValueError, match="is not an integer"):
             AlgebraContext(*args)
+
+
+class TestIndexTypes:
+    """An index that is not exactly an int is rejected by name, not read as one."""
+
+    @pytest.mark.parametrize("i", [True, 1.0, np.int64(1), "1"], ids=repr)
+    def test_basis(self, i):
+        with pytest.raises(ValueError, match=re.escape(f"basis index {i!r} is not an int")):
+            ctx_of(4, 4).basis(i)
+
+    @pytest.mark.parametrize("at", range(3))
+    @pytest.mark.parametrize("bad", [True, 1.0], ids=repr)
+    def test_structure_constant(self, at, bad):
+        indices = [1, 1, 1]
+        indices[at] = bad
+        name = "ijh"[at]
+        with pytest.raises(ValueError, match=re.escape(f"index {name}={bad!r} is not an int")):
+            structure_constant(ctx_of(4, 4), *indices)
 
 
 class TestStructureConstant:

@@ -472,3 +472,11 @@ class TestPartitionHelpers:
     def test_up_to_count(self):
         # sum over r of (floor(r/2)+1)
         assert len(partitions_up_to(10)) == sum(r // 2 + 1 for r in range(11))
+
+    @pytest.mark.parametrize("bad", [-3, 2.5, True, np.int64(4)], ids=repr)
+    def test_rejects_what_is_not_a_natural_number(self, bad):
+        # an empty list would read as a sweep over nothing that passed
+        with pytest.raises(ValueError, match=re.escape(f"r={bad!r} is not an integer >= 0")):
+            two_row_partitions(bad)
+        with pytest.raises(ValueError, match=re.escape(f"n={bad!r} is not an integer >= 0")):
+            partitions_up_to(bad)

@@ -405,14 +405,130 @@ class TestFaultsAreCaught:
         honest = oracle._j_incidence
 
         def skewed(r, lam):
-            # forgets the images of subsets holding position 1
-            rows, cols, vals = honest(r, lam)
-            subsets = colex(r, lam[1])
-            keep = np.array([1 not in subsets[c] for c in cols], dtype=bool)
-            return rows[keep], cols[keep], vals[keep]
+            # sends the subsets holding position 1 where the last subset goes
+            table = honest(r, lam).copy()
+            holds_one = np.array([1 in s for s in colex(r, lam[1])], dtype=bool)
+            table[:, holds_one] = table[:, -1:]
+            return table
 
         monkeypatch.setattr(oracle, "_j_incidence", skewed)
         assert "lambda=(3, 2): j not equivariant" in check_j_commutation(5)
+
+
+def _permutation_matrix(images):
+    """P with P e_S = e_images[S]."""
+    mat = np.zeros((len(images), len(images)), dtype=np.int64)
+    mat[images, np.arange(len(images))] = 1
+    return mat
+
+
+def _dense_verdict(mat, dom, cod):
+    """Whether Q M == M P mod 3 for the matrices P, Q of (1 2) and
+    (1 2 ... r) on the domain and codomain, the codomain's acting on its
+    last r positions."""
+    (r, k), (r_cod, k_cod) = dom, cod
+    mat = mat.astype(np.int64)
+    for perm, perm_cod in zip(oracle._generators(r), oracle._generators(r, r_cod - r)):
+        p = _permutation_matrix(oracle._permuted(r, k, perm))
+        q = _permutation_matrix(oracle._permuted(r_cod, k_cod, perm_cod))
+        if not np.array_equal(q @ mat % 3, mat @ p % 3):
+            return False
+    return True
+
+
+class TestEquivarianceAgainstDenseMatrices:
+    """The index-table verdict of `_commutes` equals Q M == M P mod 3 for
+    every E^(i) and j with r <= 7, honest and under one fault each."""
+
+    @staticmethod
+    def operators():
+        for r in range(8):
+            for k in range(r + 1):
+                yield r, k
+
+    def e_verdicts(self, monkeypatch, fault):
+        """(table, dense) verdicts of every E^(i), with `fault` applied to
+        each table in turn; those for which it returns None are skipped."""
+        honest = oracle._incidence
+        out = []
+        for r, k in self.operators():
+            for i in range(k + 1):
+                down, up = honest(r, k, i)
+                faulty = fault(down, len(up))
+                if faulty is None:
+                    continue
+                monkeypatch.setattr(oracle, "_incidence", lambda *_: (faulty, up))
+                mat = divided_e(r, (r - k, k), i).mat
+                table = oracle._equivariant.__wrapped__(r, k, i)
+                out.append((table, _dense_verdict(mat, (r, k), (r, k - i))))
+        return out
+
+    def j_verdicts(self, monkeypatch, fault):
+        """The same for j on every slice."""
+        honest = oracle._j_incidence
+        out = []
+        for r, k in self.operators():
+            lam = (r - k, k)
+            faulty = fault(honest(r, lam), comb(r + 2, k + 1))
+            if faulty is None:
+                continue
+            monkeypatch.setattr(oracle, "_j_incidence", lambda *_: faulty)
+            mat = j_matrix(r, lam).mat
+            table = oracle._j_equivariant(r, k)
+            out.append((table, _dense_verdict(mat, (r, k), (r + 2, k + 1))))
+        return out
+
+    def test_honest_operators_commute(self, monkeypatch):
+        def honest(table, _):
+            return table
+
+        verdicts = self.e_verdicts(monkeypatch, honest) + self.j_verdicts(monkeypatch, honest)
+        assert len(verdicts) == 120 + 36
+        assert set(verdicts) == {(True, True)}
+
+    def test_reordered_e_rows_are_the_same_operator(self, monkeypatch):
+        verdicts = self.e_verdicts(monkeypatch, lambda down, _: down[:, ::-1])
+        assert set(verdicts) == {(True, True)}
+
+    def test_moved_e_entry(self, monkeypatch):
+        def moved(down, n_cod):
+            # the last column's first image goes to the lowest row it misses
+            free = np.setdiff1d(np.arange(n_cod), down[-1])
+            if down.shape[1] == 0 or len(free) == 0:
+                return None
+            down = down.copy()
+            down[-1, 0] = free[0]
+            return down
+
+        verdicts = self.e_verdicts(monkeypatch, moved)
+        assert all(table == dense for table, dense in verdicts)
+        assert (False, False) in verdicts
+
+    def test_swapped_j_values(self, monkeypatch):
+        def swapped(table, _):
+            table = table.copy()
+            table[:, 0] = table[::-1, 0]
+            return table
+
+        verdicts = self.j_verdicts(monkeypatch, swapped)
+        assert all(table == dense for table, dense in verdicts)
+        # r < 2 has no generators, and on a one-subset slice the swap is -j
+        caught = [r >= 2 and 0 < k < r for r, k in self.operators()]
+        assert [not table for table, _ in verdicts] == caught
+
+    def test_redirected_j_image(self, monkeypatch):
+        def redirected(table, n_cod):
+            # the value-2 image of the last subset goes to a subset j misses
+            free = np.setdiff1d(np.arange(n_cod), table)
+            if len(free) == 0:
+                return None
+            table = table.copy()
+            table[1, -1] = free[0]
+            return table
+
+        verdicts = self.j_verdicts(monkeypatch, redirected)
+        assert all(table == dense for table, dense in verdicts)
+        assert (False, False) in verdicts
 
 
 class TestApplyElement:
@@ -544,6 +660,16 @@ class TestCrossValidation:
         # -1 would be a vacuous PASS over no partitions
         with pytest.raises(ValueError, match=re.escape(f"r_max={r_max!r} ")):
             cross_validate(r_max)
+
+    @pytest.mark.parametrize("r_max", [-1, 2.5, True, "8"])
+    @pytest.mark.parametrize(
+        "check",
+        [check_basis_products, check_idempotent_matrices, check_j_commutation,
+         check_specht_labels],
+    )
+    def test_each_check_rejects_r_max_that_is_not_a_natural_number(self, check, r_max):
+        with pytest.raises(ValueError, match=re.escape(f"r_max={r_max!r} is not an integer >= 0")):
+            check(r_max)
 
     def test_basis_products_medium(self):
         assert check_basis_products(8) == []

@@ -114,14 +114,50 @@ class TestModulusType:
             lambda p: kostka((5, 1), (4, 2), p),
             lambda p: lucas_binom(7, 3, p),
             lambda p: digits(10, p),
+            lambda p: truncate_below(10, p, 1),
         ],
-        ids=["kostka", "kostka-shortcut", "lucas_binom", "digits"],
+        ids=["kostka", "kostka-shortcut", "lucas_binom", "digits", "truncate_below"],
     )
     @pytest.mark.parametrize("p", [3.0, 3.5, True, np.int64(3)], ids=repr)
     def test_rejected_after_the_int_is_cached(self, call, p):
         call(3)
         with pytest.raises(InvalidPrimeError, match=re.escape(f"modulus {p!r} is not an int")):
             call(p)
+
+
+class TestNaturalArguments:
+    """A value that is not an int >= 0 is rejected by its name, never
+    expanded into digits that are not those of a natural number."""
+
+    @pytest.mark.parametrize(
+        "call, name, bad",
+        [
+            (lambda x: digits(x, 3), "a", 2.5),
+            (lambda x: digits(x, 3), "a", 3.0),
+            (lambda x: digits(x, 3), "a", True),
+            (lambda x: digits(x, 3), "a", -1),
+            (lambda x: factor_digits(x, 1, 3), "m", 1.5),
+            (lambda x: factor_digits(1, x, 3), "g", 1.0),
+            (lambda x: factor_digits(x, 1, 3), "m", -3),
+            (lambda x: carry_sequence(x, 1, 3), "m", 1.5),
+            (lambda x: carry_sequence(1, x, 3), "g", np.int64(1)),
+            (lambda x: truncate_below(10, 3, x), "s", -1),
+            (lambda x: truncate_below(10, 3, x), "s", 1.0),
+            (lambda x: truncate_below(x, 3, 1), "a", 10.0),
+        ],
+        ids=["digits-float", "digits-integral-float", "digits-bool", "digits-negative",
+             "factor_digits-m", "factor_digits-g", "factor_digits-negative",
+             "carry_sequence-m", "carry_sequence-numpy-g", "truncate_below-negative-s",
+             "truncate_below-float-s", "truncate_below-float-a"],
+    )
+    def test_rejected_by_name(self, call, name, bad):
+        with pytest.raises(ValueError, match=re.escape(f"{name}={bad!r} is not an integer >= 0")):
+            call(bad)
+
+    @pytest.mark.parametrize("p", [4, 1, 0])
+    def test_truncate_below_checks_the_prime(self, p):
+        with pytest.raises(InvalidPrimeError):
+            truncate_below(10, p, 1)
 
 
 class TestBigB:
